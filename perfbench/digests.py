@@ -6,7 +6,8 @@ generators::
     python3 perfbench/digests.py
 
 ``run.py`` counts every operation of a run as failed when the run's input
-digest differs from the one recorded here for its seed.
+digest differs from the one recorded here for its seed, or when seed 0's
+inputs, regenerated on every run, no longer match their recorded digest.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def main() -> int:
     from perfbench.workloads import WORKLOADS
 
     table = {
-        name: {str(seed): workload.setup(seed)["input_digest"] for seed in SEEDS}
+        name: {str(seed): workload.inputs(seed)["input_digest"] for seed in SEEDS}
         for name, workload in WORKLOADS.items()
     }
     path = ROOT / "perfbench" / "digests.json"

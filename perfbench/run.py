@@ -7,10 +7,13 @@ Usage (from the root of a checkout)::
 After an untimed warm-up (set-up plus the first fifth of a round's
 operations), the run repeats *rounds* of the workload (set-up, then the
 seeded operation sequence) until ``--seconds`` have passed and at least two
-rounds are done, and times at least three set-ups.  Every round of one
-seed must give the same answers and virtual numbers; any difference, and
-any operation that raises, comes back truncated or fails its output check,
-counts as failed.
+rounds are done, and times at least three set-ups.  Each round's runtime
+is freed before the next set-up, so peak memory does not grow with the
+number of rounds.  Every round of one seed must give the same answers and
+virtual numbers; any difference, and any operation that raises, comes back
+truncated or fails its output check, counts as failed.  The inputs of the
+reference seed are regenerated on every run and must match
+``digests.json``, whatever seed runs.
 
 ``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` alternates
 untraced and traced rounds, reports the per-layer metrics of the first
@@ -29,19 +32,8 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-
-END_TO_END_UNITS = {
-    "setup_s": "s",
-    "queries_per_s": "1/s",
-    "host_latency_p50_ms": "ms",
-    "host_latency_tail_ms": "ms",
-    "peak_rss_mb": "MB",
-    "virtual_latency_p50_s": "s",
-    "virtual_latency_tail_s": "s",
-    "cost_per_query_usd": "USD",
-    "answer_quality": "score",
-    "slo_rate_qps": "1/s",
-}
+#: Seed whose input digest every run re-checks against ``digests.json``.
+REFERENCE_SEED = 0
 
 
 def import_program() -> None:
@@ -69,7 +61,10 @@ def warm_up(workload, seed: int) -> None:
 
 
 def run_round(workload, seed: int, recorder=None):
-    """Set up and run one round; returns (setup_s, meter, state)."""
+    """Set up and run one round; returns (setup_s, meter, state).
+
+    Callers drop ``state`` before the next round: it holds a whole runtime.
+    """
     from perfbench.tracing import install
     from perfbench.workloads import Meter
     from repro.data.records import reset_uid_counter
@@ -104,56 +99,106 @@ def compare_rounds(reference, meter, reference_digest: str, digest: str) -> int:
     return sum(bool(op.errors) for op in meter.ops)
 
 
-def recorded_digest(workload: str, seed: int) -> str | None:
+def digest_mismatches(workload, seed: int, input_digest: str) -> list[str]:
+    """Input digests that differ from ``digests.json``: the run's, if its seed
+    is recorded, and always the reference seed's, regenerated here."""
     path = ROOT / "perfbench" / "digests.json"
-    table = json.loads(path.read_text()) if path.is_file() else {}
-    return table.get(workload, {}).get(str(seed))
+    table = json.loads(path.read_text()).get(workload.name, {}) if path.is_file() else {}
+    checks = [(REFERENCE_SEED, workload.inputs(REFERENCE_SEED)["input_digest"])]
+    if str(seed) in table and seed != REFERENCE_SEED:
+        checks.append((seed, input_digest))
+    return [
+        f"seed {s} input digest {got} != recorded {table.get(str(s))}"
+        for s, got in checks if table.get(str(s)) != got
+    ]
+
+
+def outcome_digest(ops) -> str:
+    """Digest of every operation's answer and virtual numbers in one round.
+
+    Printed so that runs of one seed in separate processes can be compared.
+    """
+    from perfbench import inputs as gen
+
+    return gen.digest([op.outcome() for op in ops])
+
+
+def result_metrics(values: dict[str, float], kind: str) -> dict:
+    """``values`` with their units from ``BENCHMARK.json``'s ``kind`` list.
+
+    The names must be exactly those ``BENCHMARK.json`` lists.
+    """
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())[kind]
+    units = {m["name"]: m["unit"] for m in spec}
+    if set(values) != set(units):
+        raise SystemExit(f"error: metrics {sorted(set(values) ^ set(units))} "
+                         f"are not both computed and listed in BENCHMARK.json {kind}")
+    return {name: {"value": float(values[name]), "unit": unit} for name, unit in units.items()}
 
 
 def end_to_end(workload, seed: int, seconds: float) -> dict:
     from perfbench import stats
-    from perfbench.workloads import MIN_ROUNDS, MIN_SETUPS
+    from perfbench.workloads import MIN_ROUNDS, MIN_SETUPS, PROBE_NOMINAL_S
 
     tail_q = stats.tail_percentile(workload.ops_per_round * MIN_ROUNDS)
     warm_up(workload, seed)
     start = perf_counter()
-    rounds = []
+    rounds = []  # (setup_s, meter, input digest)
     while len(rounds) < MIN_ROUNDS or perf_counter() - start < seconds:
-        rounds.append(run_round(workload, seed))
+        setup_s, meter, state = run_round(workload, seed)
+        if not rounds:
+            slo_rate = workload.slo_rate(state, meter.ops)
+        rounds.append((setup_s, meter, state["input_digest"]))
+        del state  # free this round's runtime before the next set-up
     setups = [s for s, _, _ in rounds]
     while len(setups) < MIN_SETUPS:
         gc.collect()
         began = perf_counter()
         workload.setup(seed)
         setups.append(perf_counter() - began)
-    _, first, state = rounds[0]
+    _, first, input_digest = rounds[0]
     failed = 0
-    for _, meter, round_state in rounds:
-        failed += compare_rounds(first.ops, meter, state["input_digest"], round_state["input_digest"])
-    expected = recorded_digest(workload.name, seed)
-    if expected is not None and expected != state["input_digest"]:
+    for _, meter, digest in rounds:
+        failed += compare_rounds(first.ops, meter, input_digest, digest)
+    mismatches = digest_mismatches(workload, seed, input_digest)
+    if mismatches:
         failed = sum(len(m.ops) for _, m, _ in rounds)
-        print(f"input digest {state['input_digest']} != recorded {expected}")
+        print("\n".join(mismatches))
     ops = first.ops
     host = [op.host_s for _, meter, _ in rounds for op in meter.ops]
+    scaled_host = [op.host_s / slow for _, meter, _ in rounds
+                   for op, slow in zip(meter.ops, meter.slowdowns())]
     virtual = [op.virtual_s for op in ops]
     measured = sum(meter.measured_s for _, meter, _ in rounds)
     attempted = sum(len(meter.ops) for _, meter, _ in rounds)
-    metrics = {
+    raw = {
         "setup_s": stats.median(setups),
         "queries_per_s": attempted / measured,
         "host_latency_p50_ms": stats.percentile(host, 50.0) * 1e3,
         "host_latency_tail_ms": stats.percentile(host, tail_q) * 1e3,
+    }
+    # Host metrics at the reference speed: divide times (multiply rates) by
+    # how much slower than nominal the speed probe ran; per operation for
+    # latencies, over the run for set-up and throughput.
+    probes = [s for _, meter, _ in rounds for _, s in meter.probes]
+    slowdown = stats.median(probes) / PROBE_NOMINAL_S
+    metrics = {
+        "setup_s": raw["setup_s"] / slowdown,
+        "queries_per_s": raw["queries_per_s"] * slowdown,
+        "host_latency_p50_ms": stats.percentile(scaled_host, 50.0) * 1e3,
+        "host_latency_tail_ms": stats.percentile(scaled_host, tail_q) * 1e3,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "virtual_latency_p50_s": stats.percentile(virtual, 50.0),
         "virtual_latency_tail_s": stats.percentile(virtual, tail_q),
         "cost_per_query_usd": sum(op.cost_usd for op in ops) / len(ops),
         "answer_quality": sum(op.quality for op in ops) / len(ops),
-        "slo_rate_qps": workload.slo_rate(state, ops, seed),
+        "slo_rate_qps": slo_rate,
     }
     print(f"workload={workload.name} seed={seed} rounds={len(rounds)} ops/round={len(ops)} "
           f"tail=p{tail_q:g} host_n={len(host)} virtual_n={len(virtual)} "
-          f"input_digest={state['input_digest']}")
+          f"input_digest={input_digest} outcome_digest={outcome_digest(ops)}")
+    print(f"speed probe median {stats.median(probes) * 1e3:.3f} ms over {len(probes)} probes "
+          f"(slowdown {slowdown:.3f}); unscaled host metrics {json.dumps(raw)}")
     for _, meter, _ in rounds:
         for index, op in enumerate(meter.ops):
             for error in op.errors:
@@ -162,10 +207,7 @@ def end_to_end(workload, seed: int, seconds: float) -> dict:
         "correct": failed == 0,
         "attempted": attempted,
         "failed": failed,
-        "metrics": {
-            name: {"value": value, "unit": END_TO_END_UNITS[name]}
-            for name, value in metrics.items()
-        },
+        "metrics": result_metrics(metrics, "end_to_end"),
     }
 
 
@@ -177,21 +219,31 @@ def traced(workload, seed: int, seconds: float) -> dict:
 
     warm_up(workload, seed)
     start = perf_counter()
-    pairs = []
+    pairs = []  # (untraced meter, its digest, traced meter, its digest, traced/untraced)
+    recorder = None  # the first traced round's, which the report describes
     while not pairs or perf_counter() - start < seconds:
         _, plain, state = run_round(workload, seed)
-        recorder = Recorder()
-        _, meter, traced_state = run_round(workload, seed, recorder)
-        pairs.append((plain, meter, recorder, state, traced_state))
-    recorder = pairs[0][2]
+        plain_digest = state["input_digest"]
+        del state
+        round_recorder = Recorder()
+        _, meter, state = run_round(workload, seed, round_recorder)
+        pairs.append((plain, plain_digest, meter, state["input_digest"],
+                      layer_report(round_recorder)["total_s"] / plain.measured_s))
+        del state
+        if recorder is None:
+            recorder = round_recorder
     report = layer_report(recorder)
-    ratio = stats.median([layer_report(r)["total_s"] / p.measured_s for p, _, r, _, _ in pairs])
+    ratio = stats.median([p[4] for p in pairs])
     metrics = per_layer_metrics(report, ratio)
-    reference, reference_digest = pairs[0][0].ops, pairs[0][3]["input_digest"]
+    reference, reference_digest = pairs[0][0].ops, pairs[0][1]
     failed = 0
-    for plain, meter, _, state, traced_state in pairs:
-        failed += compare_rounds(reference, plain, reference_digest, state["input_digest"])
-        failed += compare_rounds(reference, meter, reference_digest, traced_state["input_digest"])
+    for plain, plain_digest, meter, traced_digest, _ in pairs:
+        failed += compare_rounds(reference, plain, reference_digest, plain_digest)
+        failed += compare_rounds(reference, meter, reference_digest, traced_digest)
+    mismatches = digest_mismatches(workload, seed, reference_digest)
+    if mismatches:
+        failed = sum(len(p[0].ops) + len(p[2].ops) for p in pairs)
+        print("\n".join(mismatches))
     out = ROOT / "perfbench" / "out"
     out.mkdir(exist_ok=True)
     stem = out / f"{workload.name}-seed{seed}"
@@ -214,26 +266,13 @@ def traced(workload, seed: int, seconds: float) -> dict:
     for layer, value in layers.items():
         print(f"{layer:<12} {value:>9.3f} {value / report['total_s']:>7.1%}")
     print(f"{'sum':<12} {summary['self_sum_s']:>9.3f} (root spans {report['total_s']:.3f})")
-    attempted = sum(len(p.ops) + len(m.ops) for p, m, _, _, _ in pairs)
+    attempted = sum(len(p[0].ops) + len(p[2].ops) for p in pairs)
     return {
         "correct": failed == 0,
         "attempted": attempted,
         "failed": failed,
-        "metrics": {
-            name: {"value": float(value), "unit": unit_of(name)}
-            for name, value in metrics.items()
-        },
+        "metrics": result_metrics(metrics, "per_layer"),
     }
-
-
-def unit_of(name: str) -> str:
-    if name.endswith("_s"):
-        return "s"
-    if name.endswith("_ratio") or name.endswith("_share") or name.endswith("_fill"):
-        return "ratio"
-    if name.startswith("llm.us_per") or name.startswith("engine.us_per"):
-        return "us"
-    return "count"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,4 +1,4 @@
-"""Summary statistics shared by the workloads: percentiles and the SLO rate."""
+"""Summary statistics shared by the workloads: percentiles and the SLO ladder."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import statistics
 
 #: Candidate tail percentiles, highest first.
 TAIL_LADDER = (99.9, 99.5, 99.0, 98.0, 95.0, 90.0, 85.0, 80.0, 75.0, 66.0, 50.0)
-#: Arrival-rate multiples tried for ``slo_rate_qps``: 2^(k/16) from 1/16 to 64.
+#: Arrival-rate multiples tried for ``serve``'s ``slo_rate_qps``: 2^(k/16) from 1/16 to 64.
 SLO_LADDER = tuple(2.0 ** (k / 16.0) for k in range(-64, 97))
 #: Percentile whose latency must stay under the workload's limit.
 SLO_PERCENTILE = 90.0
@@ -37,25 +37,6 @@ def tail_percentile(n: int) -> float:
 
 def median(values: list[float]) -> float:
     return statistics.median(values)
-
-
-def fcfs_sojourns(gaps: list[float], services: list[float], rate: float) -> tuple[list[float], bool]:
-    """One-server first-come-first-served replay of a closed-loop run.
-
-    ``gaps`` are unit-mean exponential draws, scaled to arrival rate
-    ``rate``; ``services`` are the operations' virtual latencies in run
-    order.  Returns each operation's time in system and whether the backlog
-    stayed bounded (the server was not busy past the last arrival).
-    """
-    now = 0.0
-    free_at = 0.0
-    sojourns = []
-    for gap, service in zip(gaps, services):
-        now += gap / rate
-        start = max(now, free_at)
-        free_at = start + service
-        sojourns.append(free_at - now)
-    return sojourns, sum(services) <= now
 
 
 def highest_passing(ladder: tuple[float, ...], passes) -> float | None:

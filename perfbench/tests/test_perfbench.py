@@ -5,10 +5,11 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from perfbench import inputs as gen
-from perfbench import stats
-from perfbench.run import END_TO_END_UNITS, compare_rounds
+from perfbench import run, stats
+from perfbench.run import compare_rounds, result_metrics
 from perfbench.tracing import Recorder, install, per_layer_metrics, self_times
 from perfbench.workloads import WORKLOADS, Meter, OpRecord, StructSpec
 
@@ -81,7 +82,6 @@ def test_benchmark_json_names_and_metrics_match_the_code():
         assert NAME.match(name), name
     assert len(set(end_to_end + per_layer)) == len(end_to_end) + len(per_layer)
     assert set(names) == set(WORKLOADS)
-    assert end_to_end == list(END_TO_END_UNITS)
     assert "setup_s" in end_to_end
     assert all(0 < m["bound"] <= 0.25 for m in spec["end_to_end"])
     from collections import defaultdict
@@ -97,6 +97,49 @@ def test_benchmark_json_names_and_metrics_match_the_code():
         "spans": 0,
     }
     assert per_layer == list(per_layer_metrics(report, 1.0))
+
+
+def test_result_metrics_take_units_from_benchmark_json_and_refuse_other_names():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    values = {m["name"]: 1.0 for m in spec}
+    out = result_metrics(values, "end_to_end")
+    assert out == {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec}
+    with pytest.raises(SystemExit):
+        result_metrics({**values, "unlisted": 1.0}, "end_to_end")
+    values.pop("setup_s")
+    with pytest.raises(SystemExit):
+        result_metrics(values, "end_to_end")
+
+
+def test_reference_seed_digest_is_checked_whatever_seed_runs(monkeypatch):
+    workload = WORKLOADS["research"]
+    recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text())["research"]
+    assert run.digest_mismatches(workload, 999, "unrecorded") == []
+    assert run.digest_mismatches(workload, 3, recorded["3"]) == []
+    assert run.digest_mismatches(workload, 3, "changed")
+    # A generator change shows on the reference seed even for an unrecorded seed.
+    real_inputs = workload.inputs
+    monkeypatch.setattr(workload, "inputs", lambda seed: {**real_inputs(seed), "input_digest": "x"})
+    assert run.digest_mismatches(workload, 999, "unrecorded")
+
+
+def test_speed_probes_run_between_operations_at_most_every_interval():
+    meter = Meter()
+    record, _ = meter.op("q", lambda: None)
+    meter.op("q", lambda: None)
+    assert len(meter.probes) == 1  # the second op came within PROBE_EVERY_S
+    assert record.host_s < meter.probes[0][1]  # the probe is not in the op's time
+
+
+def test_each_operation_is_scaled_by_the_probes_near_it():
+    from perfbench.workloads import PROBE_NOMINAL_S
+
+    meter = Meter()
+    meter.ops = [OpRecord("q", started=t) for t in (0.0, 10.0, 30.0)]
+    nominal = PROBE_NOMINAL_S
+    meter.probes = [(-0.5, nominal), (0.5, 3 * nominal), (0.9, 2 * nominal), (10.2, nominal / 2)]
+    # op 0: median of its three probes; op 1: its one probe; op 2: the nearest.
+    assert meter.slowdowns() == [2.0, 0.5, 0.5]
 
 
 def test_a_wrong_answer_in_a_later_round_counts_as_failed():

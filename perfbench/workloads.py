@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import math
+import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -56,6 +57,30 @@ MIN_SETUPS = 3
 #: Share of a round's operations run once, untimed, before measuring, so
 #: lazy initialisation in the process is not charged to the first round.
 WARMUP_SHARE = 0.2
+#: Host seconds between speed probes; each probe takes about 3 ms.
+PROBE_EVERY_S = 0.2
+#: Probe time that defines the reference speed host metrics are scaled to.
+PROBE_NOMINAL_S = 0.003
+#: An operation's speed is the median of the probes this close to its start.
+PROBE_WINDOW_S = 1.0
+
+
+def speed_probe() -> float:
+    """Host seconds a fixed pure-Python integer loop takes now.
+
+    The shared host's speed drifts by a fifth or more within seconds, in
+    phases that outlast an operation but not a run.  This loop's time,
+    taken between operations, follows those phases (over 20 rounds of
+    ``structured`` its median per round correlated 0.87 with the round's
+    host time), so the driver scales host metrics by it.  A fast phase can
+    cover part of a run only, so each operation is scaled by the probes
+    around it rather than by the run's median.
+    """
+    start = perf_counter()
+    x = 0
+    for i in range(20_000):
+        x = (x * 31 + i) & 0xFFFFFFFF
+    return perf_counter() - start
 
 
 class WarmupDone(Exception):
@@ -67,6 +92,7 @@ class OpRecord:
     """One operation: host time, virtual outcome, score and check result."""
 
     kind: str
+    started: float = 0.0  # host clock at the start, to find nearby speed probes
     host_s: float = 0.0
     virtual_s: float = 0.0
     cost_usd: float = 0.0
@@ -91,6 +117,9 @@ class Meter:
         self.limit = limit
         self.ops: list[OpRecord] = []
         self.system_s = 0.0
+        #: (host clock, :func:`speed_probe` time), taken untimed between operations.
+        self.probes: list[tuple[float, float]] = []
+        self._next_probe = 0.0
 
     def _span(self, index: int):
         if self.recorder is None:
@@ -101,9 +130,12 @@ class Meter:
         """Run one operation; returns ``(record, result or None if it raised)``."""
         if self.limit is not None and len(self.ops) >= self.limit:
             raise WarmupDone
+        if perf_counter() >= self._next_probe:
+            self.probes.append((perf_counter(), speed_probe()))
+            self._next_probe = perf_counter() + PROBE_EVERY_S
         record = OpRecord(kind)
         self.ops.append(record)
-        start = perf_counter()
+        start = record.started = perf_counter()
         try:
             with self._span(len(self.ops) - 1):
                 out = fn()
@@ -127,6 +159,19 @@ class Meter:
     def measured_s(self) -> float:
         return sum(op.host_s for op in self.ops) + self.system_s
 
+    def slowdowns(self) -> list[float]:
+        """Per operation: median probe time within :data:`PROBE_WINDOW_S` of
+        its start (the nearest probe if none), over :data:`PROBE_NOMINAL_S`."""
+        times = [t for t, _ in self.probes]
+        out = []
+        for op in self.ops:
+            near = [s for _, s in self.probes[bisect_left(times, op.started - PROBE_WINDOW_S):
+                                              bisect_right(times, op.started + PROBE_WINDOW_S)]]
+            if not near:
+                near = [min(self.probes, key=lambda p: abs(p[0] - op.started))[1]]
+            out.append(statistics.median(near) / PROBE_NOMINAL_S)
+        return out
+
 
 def f1(returned: set, truth: set) -> float:
     if not returned and not truth:
@@ -147,36 +192,25 @@ class Workload:
     name = ""
     #: Operations in one round (fixed per workload).
     ops_per_round = 0
-    #: Virtual p90 limit for ``slo_rate_qps``, in simulated seconds.
-    slo_limit_s = 0.0
-    slo_replays = 400
 
-    def setup(self, seed: int):
+    def inputs(self, seed: int) -> dict:
+        """The seed's generated inputs, with their ``input_digest``; no runtime."""
+        raise NotImplementedError
+
+    def setup(self, seed: int) -> dict:
+        """The seed's inputs plus the runtime that serves them."""
         raise NotImplementedError
 
     def run(self, state, meter: Meter) -> None:
         raise NotImplementedError
 
-    def slo_rate(self, state, ops: list[OpRecord], seed: int) -> float:
-        """Closed loop: one FCFS server fed Poisson arrivals at ladder rates.
+    def slo_rate(self, state, ops: list[OpRecord]) -> float:
+        """Closed loop: the rate one client sustains on the virtual clock.
 
-        The base rate is the one-client rate (1 / mean virtual latency); the
-        result is the highest ladder multiple of it whose p90 time in system
-        stays under :attr:`slo_limit_s` with no growing backlog.  The round's
-        operations are replayed :attr:`slo_replays` times in a row, so the
-        queue's p90 does not hinge on a few dozen random gaps.
+        A closed loop has no arrival traffic to replay, so no SLO ladder is
+        searched: this is operations per summed virtual latency.
         """
-        services = [op.virtual_s for op in ops] * self.slo_replays
-        rng = gen.rng_for(seed, "slo", self.name)
-        gaps = [-math.log(1.0 - rng.random()) for _ in services]
-        base = len(services) / sum(services)
-
-        def passes(multiple: float) -> bool:
-            sojourns, bounded = stats.fcfs_sojourns(gaps, services, multiple * base)
-            return bounded and stats.percentile(sojourns, stats.SLO_PERCENTILE) <= self.slo_limit_s
-
-        best = stats.highest_passing(stats.SLO_LADDER, passes)
-        return (best or 0.0) * base
+        return len(ops) / sum(op.virtual_s for op in ops)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +244,6 @@ class ScanWorkload(Workload):
         "filter-topk", "where-filter-limit",
     )
     ops_per_round = reps * len(templates)
-    slo_limit_s = 400.0
     parallelism = 16
 
     def specs(self, seed: int) -> list[ScanSpec]:
@@ -236,10 +269,19 @@ class ScanWorkload(Workload):
             out.append(ScanSpec(template, day, a, b, variant, param))
         return out
 
-    def setup(self, seed: int):
+    def inputs(self, seed: int) -> dict:
         tickets = gen.make_tickets(seed, self.tickets, days=self.days)
+        specs = self.specs(seed)
+        return {
+            "tickets": tickets,
+            "specs": specs,
+            "input_digest": gen.digest(gen.records_digest(tickets), specs),
+        }
+
+    def setup(self, seed: int) -> dict:
+        state = self.inputs(seed)
         by_day: dict[int, list] = {}
-        for record in tickets:
+        for record in state.pop("tickets"):
             by_day.setdefault(record["day"], []).append(record)
         # MaxQuality keeps the champion model: under the default Balanced
         # policy the model choice flips on 16-record samples, and the mean
@@ -248,17 +290,12 @@ class ScanWorkload(Workload):
             registry=gen.ticket_registry(), seed=seed, parallelism=self.parallelism,
             policy=MaxQuality(),
         )
-        sources = {
+        state["runtime"] = runtime
+        state["sources"] = {
             day: MemorySource(records, gen.TICKET_SCHEMA, source_id=f"day-{day}")
             for day, records in by_day.items()
         }
-        specs = self.specs(seed)
-        return {
-            "runtime": runtime,
-            "sources": sources,
-            "specs": specs,
-            "input_digest": gen.digest(gen.records_digest(tickets), specs),
-        }
+        return state
 
     def plan(self, spec: ScanSpec, source):
         ds = Dataset.from_source(source)
@@ -358,7 +395,6 @@ class StructuredWorkload(Workload):
         ("where-tail", 4),
     )
     ops_per_round = reps * len(templates)
-    slo_limit_s = 120.0
     parallelism = 16
     tail_limit = 40
     #: Numeric thresholds are fixed and only categorical values are drawn,
@@ -388,21 +424,25 @@ class StructuredWorkload(Workload):
             for (template, shards), block in zip(order, blocks)
         ]
 
-    def setup(self, seed: int):
+    def inputs(self, seed: int) -> dict:
         rows = gen.make_table(seed, self.rows)
-        runtime = AnalyticsRuntime(
-            registry=gen.ticket_registry(), seed=seed, parallelism=self.parallelism,
-            policy=MaxQuality(),
-        )
         specs = self.specs(seed)
         return {
-            "runtime": runtime,
             "rows": rows,
-            "by_uid": {r.uid: r for r in rows},
-            "source": MemorySource(rows, gen.TABLE_SCHEMA, source_id="orders"),
             "specs": specs,
             "input_digest": gen.digest(gen.records_digest(rows), specs),
         }
+
+    def setup(self, seed: int) -> dict:
+        state = self.inputs(seed)
+        rows = state["rows"]
+        state["runtime"] = AnalyticsRuntime(
+            registry=gen.ticket_registry(), seed=seed, parallelism=self.parallelism,
+            policy=MaxQuality(),
+        )
+        state["by_uid"] = {r.uid: r for r in rows}
+        state["source"] = MemorySource(rows, gen.TABLE_SCHEMA, source_id="orders")
+        return state
 
     def plan(self, spec: StructSpec, source):
         ds = Dataset.from_source(source)
@@ -552,9 +592,12 @@ class ServeWorkload(Workload):
     append_size = 20
     update_every = 4
     provider_width = 16
+    #: Virtual p90 limit for ``slo_rate_qps``, in simulated seconds.
     slo_limit_s = 600.0
     #: Every submit, plus one standing tick per window after the first.
     ops_per_round = submits + windows - 1
+    #: Plans in :meth:`templates`; arrivals name one by index.
+    n_templates = 6
 
     def templates(self, source):
         ds = lambda: Dataset.from_source(source)  # noqa: E731
@@ -583,9 +626,29 @@ class ServeWorkload(Workload):
         uids = {r.uid for r in rows if r.annotations[flag] and (pred is None or pred(r))}
         return uids, extracted
 
-    def setup(self, seed: int):
+    def inputs(self, seed: int) -> dict:
         base = gen.make_tickets(seed, self.base_tickets, prefix="s")
-        source = MemorySource(base, gen.TICKET_SCHEMA, source_id="live-tickets")
+        arrivals = gen.make_arrivals(seed, self.tenants, self.windows, self.window_s,
+                                     self.submits, self.n_templates)
+        mutations = gen.make_mutations(seed, self.windows, self.base_tickets,
+                                       self.append_size, self.update_every)
+        appends = {
+            m.window: gen.make_tickets(seed, m.count, prefix="s",
+                                       start=self.base_tickets + m.window * self.append_size)
+            for m in mutations if m.kind == "append"
+        }
+        return {
+            "base": base,
+            "arrivals": arrivals,
+            "mutations": mutations,
+            "appends": appends,
+            "input_digest": gen.digest(gen.records_digest(base), arrivals, mutations,
+                                       [gen.records_digest(v) for _, v in sorted(appends.items())]),
+        }
+
+    def setup(self, seed: int) -> dict:
+        state = self.inputs(seed)
+        source = MemorySource(state.pop("base"), gen.TICKET_SCHEMA, source_id="live-tickets")
         runtime = AnalyticsRuntime(registry=gen.ticket_registry(), seed=seed, metrics=MetricsRegistry())
         serving = runtime.serving(
             tenants=[TenantSpec(f"tenant-{k}") for k in range(self.tenants)],
@@ -607,27 +670,8 @@ class ServeWorkload(Workload):
             for template in gen.favourite_templates(k, len(templates)):
                 serving.submit(f"tenant-{k}", templates[template]())
         serving.drain()
-        arrivals = gen.make_arrivals(seed, self.tenants, self.windows, self.window_s,
-                                     self.submits, len(templates))
-        mutations = gen.make_mutations(seed, self.windows, self.base_tickets,
-                                       self.append_size, self.update_every)
-        appends = {
-            m.window: gen.make_tickets(seed, m.count, prefix="s",
-                                       start=self.base_tickets + m.window * self.append_size)
-            for m in mutations if m.kind == "append"
-        }
-        return {
-            "runtime": runtime,
-            "serving": serving,
-            "source": source,
-            "standing": standing,
-            "arrivals": arrivals,
-            "mutations": mutations,
-            "appends": appends,
-            "windows": [],
-            "input_digest": gen.digest(gen.records_digest(base), arrivals, mutations,
-                                       [gen.records_digest(v) for _, v in sorted(appends.items())]),
-        }
+        state.update(runtime=runtime, serving=serving, source=source, standing=standing, windows=[])
+        return state
 
     def run(self, state, meter: Meter) -> None:
         serving, source, standing = state["serving"], state["source"], state["standing"]
@@ -685,7 +729,7 @@ class ServeWorkload(Workload):
                     meter.system(lambda: source.update(
                         f"s-{mutation.uid_index}", {"priority": mutation.priority}))
 
-    def slo_rate(self, state, ops: list[OpRecord], seed: int) -> float:
+    def slo_rate(self, state, ops: list[OpRecord]) -> float:
         """Replay each window's admitted jobs at scaled arrival rates.
 
         Copies of the jobs go through ``CrossQueryScheduler`` without
@@ -732,16 +776,15 @@ ENRON_DIGEST = "b600fa2d27561350"
 
 class ResearchWorkload(Workload):
     name = "research"
-    #: Trials per round by kind.  The CodeAgent trials are 18 of 25, so on
-    #: both clocks the median and the p80 tail fall inside their tight group
-    #: (about 1200 virtual and 0.18 host seconds each).  Percentiles that
-    #: fell among the compute trials, whose latencies overlap and spread
-    #: widely, moved by a quarter from seed to seed.
+    #: Trials per round by kind.  The CodeAgent trials are 18 of 25, so the
+    #: virtual median and p80 tail fall inside their tight group (about 1200
+    #: virtual seconds each).  Percentiles that fell among the compute
+    #: trials, whose latencies overlap and spread widely, moved by a quarter
+    #: from seed to seed.
     kinds = {"legal-answer": 3, "enron-compute": 4, "enron-agent": 18}
     ops_per_round = sum(kinds.values())
-    slo_limit_s = 6000.0
 
-    def setup(self, seed: int):
+    def inputs(self, seed: int) -> dict:
         legal, enron = generate_legal_corpus(), generate_enron_corpus()
         digests = (gen.bundle_digest(legal), gen.bundle_digest(enron))
         seeds = gen.trial_seeds(seed, self.ops_per_round)
@@ -754,6 +797,9 @@ class ResearchWorkload(Workload):
             "trials": list(zip(kinds, seeds)),
             "input_digest": gen.digest(digests, kinds, seeds),
         }
+
+    def setup(self, seed: int) -> dict:
+        return self.inputs(seed)
 
     def trial(self, kind: str, trial_seed: int, state):
         """Run one trial on a fresh runtime; returns (answer, its LLM substrate)."""
