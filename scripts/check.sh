@@ -2,9 +2,10 @@
 # Fast correctness gate: tier-1 test suite + the fault-tolerance smoke sweep.
 # Runs in well under a minute; use before pushing.
 #
-#   scripts/check.sh          full gate (all tests + smoke sweeps + fuzz lane)
-#   scripts/check.sh --fast   unit tests only, skipping slow property/
-#                             integration modules and the smoke sweeps
+#   scripts/check.sh          full gate (all tests + perfbench tests + smoke
+#                             sweeps + fuzz lane)
+#   scripts/check.sh --fast   unit tests and perfbench tests, skipping slow
+#                             property/integration modules and most sweeps
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -13,6 +14,9 @@ export PYTHONPATH=src
 if [[ "${1:-}" == "--fast" ]]; then
     echo "== fast lane: tier-1 tests (-m 'not slow') =="
     python -m pytest -x -q -m "not slow"
+    echo
+    echo "== fast lane: repository benchmark's own tests =="
+    python -m pytest perfbench/tests -q
     echo
     echo "== fast lane: sharded-execution smoke =="
     python benchmarks/bench_sharding.py --smoke
@@ -26,6 +30,10 @@ fi
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo
+echo "== repository benchmark's own tests =="
+python -m pytest perfbench/tests -q
 
 echo
 echo "== fault-tolerance smoke sweep =="

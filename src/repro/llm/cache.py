@@ -11,7 +11,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any
 
-from repro.utils.hashing import stable_digest
+from repro.utils.hashing import HashPrefix, hash_prefix, stable_digest
+
+#: Leading part of every generation-cache key.
+KEY_TAG = "gen-cache"
 
 
 class GenerationCache:
@@ -42,7 +45,16 @@ class GenerationCache:
 
     @staticmethod
     def key(model: str, *payload: Any) -> str:
-        return stable_digest("gen-cache", model, *payload)
+        return stable_digest(KEY_TAG, model, *payload)
+
+    @staticmethod
+    def key_prefix(model: str, *payload: Any) -> HashPrefix:
+        """Hashed leading parts of :meth:`key`.
+
+        ``key_prefix(model, *payload).digest(last) == key(model, *payload, last)``;
+        callers keying many records under one instruction hash it once.
+        """
+        return hash_prefix(KEY_TAG, model, *payload)
 
     def get(self, key: str) -> tuple[bool, Any]:
         """Return ``(hit, value)``; moves the entry to most-recently-used."""

@@ -22,6 +22,23 @@ DEFAULT_DIM = 256
 #: arrays of inputs; one request amortizes the per-call overhead).
 DEFAULT_EMBED_BATCH = 64
 
+#: Most tokens whose feature hashes :meth:`EmbeddingModel.embed` remembers.
+#: The memo is shared by every model (each applies its own ``% dim``; a
+#: value depends on its token alone) and is dropped whole when full.
+TOKEN_MEMO_MAX = 16_384
+#: token -> (bucket hash before ``% dim``, sign).
+_token_features: dict[str, tuple[int, float]] = {}
+
+
+def _token_feature(token: str) -> tuple[int, float]:
+    feature = _token_features.get(token)
+    if feature is None:
+        if len(_token_features) >= TOKEN_MEMO_MAX:
+            _token_features.clear()
+        sign = 1.0 if stable_hash("emb-sign", token) % 2 == 0 else -1.0
+        feature = _token_features[token] = (stable_hash("emb-bucket", token), sign)
+    return feature
+
 
 class EmbeddingModel:
     """Feature-hashing embedding model with a fixed dimensionality."""
@@ -43,9 +60,8 @@ class EmbeddingModel:
                 continue
             counts[token] = counts.get(token, 0) + 1
         for token, count in counts.items():
-            bucket = stable_hash("emb-bucket", token) % self.dim
-            sign = 1.0 if stable_hash("emb-sign", token) % 2 == 0 else -1.0
-            vector[bucket] += sign * (1.0 + math.log(count))
+            bucket_hash, sign = _token_feature(token)
+            vector[bucket_hash % self.dim] += sign * (1.0 + math.log(count))
         norm = float(np.linalg.norm(vector))
         if norm > 0:
             vector /= norm

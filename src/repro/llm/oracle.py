@@ -58,9 +58,16 @@ class IntentRegistry:
 
     #: Minimum keyword-match fraction for an intent to be considered resolved.
     RESOLVE_THRESHOLD = 0.6
+    #: Most instructions :meth:`resolve` remembers; dropped whole when full.
+    RESOLVE_MEMO_MAX = 1024
 
     def __init__(self) -> None:
         self._intents: dict[str, Intent] = {}
+        #: instruction -> resolved intent (or None).  A query asks about a
+        #: handful of instructions over many records, so scoring runs once
+        #: per instruction.  :meth:`register` and :meth:`merge`, the only
+        #: writers of ``_intents``, clear it.
+        self._resolved: dict[str, Intent | None] = {}
 
     def register(self, key: str, keywords: Iterable[str], description: str = "") -> Intent:
         """Register (or overwrite) an intent under ``key``."""
@@ -70,11 +77,13 @@ class IntentRegistry:
             description=description,
         )
         self._intents[key] = intent
+        self._resolved.clear()
         return intent
 
     def merge(self, other: "IntentRegistry") -> None:
         """Add all intents from ``other`` (later registrations win)."""
         self._intents.update(other._intents)
+        self._resolved.clear()
 
     def get(self, key: str) -> Intent | None:
         return self._intents.get(key)
@@ -85,6 +94,14 @@ class IntentRegistry:
         Scoring is keyword-match fraction; ties break toward intents with
         more keywords (more specific), then lexicographic key for stability.
         """
+        resolved = self._resolved
+        if instruction not in resolved:
+            if len(resolved) >= self.RESOLVE_MEMO_MAX:
+                resolved.clear()
+            resolved[instruction] = self._best_match(instruction)
+        return resolved[instruction]
+
+    def _best_match(self, instruction: str) -> Intent | None:
         tokens = set(tokenize(instruction))
         best: Intent | None = None
         best_rank: tuple[float, int, str] | None = None

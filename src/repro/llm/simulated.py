@@ -44,7 +44,7 @@ from repro.llm.usage import UsageEvent, UsageTracker
 from repro.obs.metrics import MetricsRegistry, NullMetrics, get_default_metrics
 from repro.obs.tracer import NoopTracer, Tracer, get_default_tracer
 from repro.utils.clock import VirtualClock
-from repro.utils.hashing import stable_hash, stable_uniform
+from repro.utils.hashing import hash_prefix, stable_hash
 from repro.utils.text import approx_token_count, extract_keywords, normalize_text
 
 #: Tokens charged for the fixed system/instruction scaffolding of each call.
@@ -55,6 +55,10 @@ JUDGMENT_OUTPUT_TOKENS = 5
 
 #: Distractor annotation prefix: datasets may store a plausible wrong answer.
 DISTRACTOR_PREFIX = "_distractor:"
+
+#: Most instructions whose normalized text and prompt tokens one
+#: :class:`SimulatedLLM` remembers; the memo is dropped whole when full.
+INSTRUCTION_MEMO_MAX = 1024
 
 
 class MeasuredTime:
@@ -121,6 +125,9 @@ class SimulatedLLM:
         self._measure_depth = 0
         #: Monotonic per-call counter: namespaces the backoff-jitter stream.
         self._call_sequence = 0
+        #: instruction -> (normalized text, fixed prompt tokens); see
+        #: :meth:`_instruction`.
+        self._instructions: dict[str, tuple[str, int]] = {}
 
     # ------------------------------------------------------------------
     # Accounting
@@ -188,10 +195,30 @@ class SimulatedLLM:
             self.clock.advance(seconds)
 
     def _cache_key(self, model: str, *payload: Any) -> str:
-        """Generation-cache key, namespaced by :attr:`cache_scope` when set."""
+        """Generation-cache key, namespaced by :attr:`cache_scope` when set.
+
+        Equal to :meth:`GenerationCache.key` over the same parts; all but the
+        last part (the record uid or text) are hashed once per prefix.
+        """
         if self.cache_scope:
-            return GenerationCache.key(model, "scope", self.cache_scope, *payload)
-        return GenerationCache.key(model, *payload)
+            payload = ("scope", self.cache_scope, *payload)
+        return GenerationCache.key_prefix(model, *payload[:-1]).digest(payload[-1])
+
+    def _instruction(self, instruction: str) -> tuple[str, int]:
+        """``(normalize_text(instruction), SYSTEM_PROMPT_TOKENS + its tokens)``.
+
+        Memoized: a query sends one instruction with many records.  Record
+        text is not memoized; records' fields can change in place.
+        """
+        info = self._instructions.get(instruction)
+        if info is None:
+            if len(self._instructions) >= INSTRUCTION_MEMO_MAX:
+                self._instructions.clear()
+            info = self._instructions[instruction] = (
+                normalize_text(instruction),
+                SYSTEM_PROMPT_TOKENS + approx_token_count(instruction),
+            )
+        return info
 
     def _breaker(self, model: str) -> CircuitBreaker | None:
         if self.retry.breaker_threshold <= 0:
@@ -445,7 +472,8 @@ class SimulatedLLM:
     ) -> FilterJudgment:
         """Answer "does ``record`` satisfy ``instruction``?" as ``model`` would."""
         card = get_model(model)
-        cache_key = self._cache_key(model, "filter", normalize_text(instruction), record.uid)
+        normalized = self._instruction(instruction)[0]
+        cache_key = self._cache_key(model, "filter", normalized, record.uid)
         if self.use_cache:
             hit, value = self.cache.get(cache_key)
             if hit:
@@ -454,7 +482,7 @@ class SimulatedLLM:
                 return FilterJudgment(answer, resolved, intent_key, event)
 
         judgment = self.oracle.judge_filter(instruction, record)
-        noise_key = judgment.intent_key or normalize_text(instruction)
+        noise_key = judgment.intent_key or normalized
         erred = self._errs(card, "filter", noise_key, record.uid, judgment.difficulty)
         answer = bool(judgment.truth) != erred
 
@@ -474,9 +502,8 @@ class SimulatedLLM:
     ) -> FilterJudgment:
         """Answer "do ``left`` and ``right`` jointly satisfy ``instruction``?"."""
         card = get_model(model)
-        cache_key = self._cache_key(
-            model, "join", normalize_text(instruction), left.uid, right.uid
-        )
+        normalized, instruction_tokens = self._instruction(instruction)
+        cache_key = self._cache_key(model, "join", normalized, left.uid, right.uid)
         if self.use_cache:
             hit, value = self.cache.get(cache_key)
             if hit:
@@ -485,15 +512,14 @@ class SimulatedLLM:
                 return FilterJudgment(answer, resolved, intent_key, event)
 
         judgment = self.oracle.judge_join(instruction, left, right)
-        noise_key = judgment.intent_key or normalize_text(instruction)
+        noise_key = judgment.intent_key or normalized
         erred = self._errs(
             card, "filter", noise_key, f"{left.uid}|{right.uid}", judgment.difficulty
         )
         answer = bool(judgment.truth) != erred
 
         input_tokens = (
-            SYSTEM_PROMPT_TOKENS
-            + approx_token_count(instruction)
+            instruction_tokens
             + approx_token_count(left.as_text())
             + approx_token_count(right.as_text())
         )
@@ -511,7 +537,8 @@ class SimulatedLLM:
     ) -> ExtractionResult:
         """Extract the value ``instruction`` asks for from ``record``."""
         card = get_model(model)
-        cache_key = self._cache_key(model, "extract", normalize_text(instruction), record.uid)
+        normalized = self._instruction(instruction)[0]
+        cache_key = self._cache_key(model, "extract", normalized, record.uid)
         if self.use_cache:
             hit, value = self.cache.get(cache_key)
             if hit:
@@ -669,15 +696,11 @@ class SimulatedLLM:
         base = card.error_rate(task_kind)
         ambiguity_boost = max(0.0, difficulty - 0.7)
         probability = min(0.95, base * 2.0 * difficulty * difficulty + ambiguity_boost)
-        draw = stable_uniform(self.seed, "llm-noise", card.name, task_kind, noise_key, record_uid)
-        return draw < probability
+        noise = hash_prefix(self.seed, "llm-noise", card.name, task_kind, noise_key)
+        return noise.uniform(record_uid) < probability
 
     def _prompt_tokens(self, instruction: str, record: AnnotatedRecord) -> int:
-        return (
-            SYSTEM_PROMPT_TOKENS
-            + approx_token_count(instruction)
-            + approx_token_count(record.as_text())
-        )
+        return self._instruction(instruction)[1] + approx_token_count(record.as_text())
 
     def _corrupt(self, truth: Any, intent_key: str, record: AnnotatedRecord) -> Any:
         """Produce a plausible wrong answer for an extraction error.

@@ -1,15 +1,21 @@
 """Tests for deterministic embeddings."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.llm import embeddings
 from repro.llm.embeddings import (
+    TOKEN_MEMO_MAX,
     EmbeddingModel,
     cosine_similarity,
     top_k_similar,
 )
+from repro.utils.hashing import stable_hash
+from repro.utils.text import STOPWORDS, tokenize
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +106,52 @@ def test_cosine_bounded(a, b):
     model = EmbeddingModel()
     similarity = cosine_similarity(model.embed(a), model.embed(b))
     assert -1.0 - 1e-6 <= similarity <= 1.0 + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# The shared token-feature memo
+# ---------------------------------------------------------------------------
+
+
+def _fresh_embedding(text: str, dim: int) -> np.ndarray:
+    """The embedding computed straight from ``stable_hash``, with no memo."""
+    vector = np.zeros(dim, dtype=np.float64)
+    counts: dict[str, int] = {}
+    for token in tokenize(text):
+        if token not in STOPWORDS:
+            counts[token] = counts.get(token, 0) + 1
+    for token, count in counts.items():
+        sign = 1.0 if stable_hash("emb-sign", token) % 2 == 0 else -1.0
+        vector[stable_hash("emb-bucket", token) % dim] += sign * (1.0 + math.log(count))
+    norm = float(np.linalg.norm(vector))
+    if norm > 0:
+        vector /= norm
+    return vector.astype(np.float32)
+
+
+_SHARED_TEXTS = [
+    "identity theft reports identity theft in 2024",
+    "the quarterly report on fraud and theft",
+    "naïve café reports über theft",
+    "",
+]
+
+
+def test_models_of_different_dims_share_token_memo_exactly():
+    models = [EmbeddingModel(dim) for dim in (8, 64, 256, 1000)]
+    for text in _SHARED_TEXTS:
+        for model in models:  # every model after the first reads memoized tokens
+            assert np.array_equal(model.embed(text), _fresh_embedding(text, model.dim))
+
+
+def test_token_memo_same_vectors_after_cleared_at_bound():
+    model, other = EmbeddingModel(), EmbeddingModel(dim=97)
+    before = {text: model.embed(text) for text in _SHARED_TEXTS}
+    embeddings._token_features.clear()
+    model.embed(" ".join(f"tok{i}" for i in range(TOKEN_MEMO_MAX)))
+    assert len(embeddings._token_features) == TOKEN_MEMO_MAX
+    model.embed("overflow")  # clears the full memo, then adds its token
+    assert len(embeddings._token_features) == 1
+    for text, vector in before.items():
+        assert np.array_equal(model.embed(text), vector)
+        assert np.array_equal(other.embed(text), _fresh_embedding(text, 97))

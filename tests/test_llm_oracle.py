@@ -105,3 +105,50 @@ def test_intent_missing_annotation_falls_back():
     # Intent resolves, but this record carries no annotation for it.
     result = oracle.judge_filter("special flag", _record({}))
     assert not result.resolved
+
+
+# ---------------------------------------------------------------------------
+# The resolve memo
+# ---------------------------------------------------------------------------
+
+
+def test_resolve_memo_sees_a_later_register():
+    registry = IntentRegistry()
+    registry.register("x.short", ["identity", "theft"])
+    instruction = "identity theft reports for 2001 and 2024"
+    assert registry.resolve(instruction).key == "x.short"
+    registry.register("x.long", ["identity", "theft", "2001", "2024"])
+    assert registry.resolve(instruction).key == "x.long"
+
+
+def test_resolve_memo_sees_a_later_merge():
+    registry = IntentRegistry()
+    registry.register("x.short", ["identity", "theft"])
+    instruction = "identity theft reports for 2001 and 2024"
+    assert registry.resolve(instruction).key == "x.short"
+    other = IntentRegistry()
+    other.register("x.long", ["identity", "theft", "2001", "2024"])
+    registry.merge(other)
+    assert registry.resolve(instruction).key == "x.long"
+
+
+def test_resolve_memo_remembers_unresolved_until_a_match_registers():
+    registry = IntentRegistry()
+    registry.register("x.a", ["alpha", "beta"])
+    instruction = "does this mention the gamma ray?"
+    assert registry.resolve(instruction) is None
+    assert registry._resolved == {instruction: None}
+    assert registry.resolve(instruction) is None
+    registry.register("x.gamma", ["gamma", "ray"])
+    assert registry.resolve(instruction).key == "x.gamma"
+
+
+def test_resolve_memo_is_bounded_and_refills_to_the_same_answers():
+    registry = IntentRegistry()
+    registry.register("x.a", ["alpha", "beta"])
+    instructions = [f"alpha beta {i}" for i in range(IntentRegistry.RESOLVE_MEMO_MAX)]
+    first = [registry.resolve(text) for text in instructions]
+    assert len(registry._resolved) == IntentRegistry.RESOLVE_MEMO_MAX
+    assert registry.resolve("no match at all") is None  # clears the full memo
+    assert len(registry._resolved) == 1
+    assert [registry.resolve(text) for text in instructions] == first

@@ -4,10 +4,13 @@ The toy registry/record/LLM setup lives in ``conftest.py`` as the
 ``toy_registry``, ``toy_record``, and ``make_toy_llm`` fixtures.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.data.records import DataRecord
 from repro.llm.oracle import DIFFICULTY_PREFIX, SemanticOracle
+from repro.llm.simulated import SimulatedLLM
 
 
 def test_judge_filter_easy_record_matches_truth(make_toy_llm, toy_record):
@@ -223,3 +226,124 @@ def test_distractor_annotation_steers_corruption(make_toy_llm):
         )
         value = llm.extract("extract the number of widgets", record).value
         assert value in (100, 777)
+
+
+def test_cache_key_is_generation_cache_key(make_toy_llm):
+    from repro.llm.cache import GenerationCache
+
+    llm = make_toy_llm()
+    for scope in ("", "tenant-a"):
+        llm.cache_scope = scope
+        scoped = ("scope", scope) if scope else ()
+        for payload in (
+            ("filter", "special flag", "uid-1"),
+            ("join", "special flag", "uid-1", "uid-2"),
+            ("embed", "some text\x1f"),
+        ):
+            assert llm._cache_key("gpt-4o", *payload) == GenerationCache.key(
+                "gpt-4o", *scoped, *payload
+            )
+
+
+def test_instruction_memo_is_bounded(make_toy_llm, toy_record):
+    from repro.llm.simulated import INSTRUCTION_MEMO_MAX, SYSTEM_PROMPT_TOKENS
+    from repro.utils.text import approx_token_count
+
+    llm = make_toy_llm(use_cache=False)
+    record = toy_record(difficulty=1.0, uid="memo")
+    first = llm.judge_filter("Has the  SPECIAL flag", record)
+    for i in range(INSTRUCTION_MEMO_MAX):
+        llm._instruction(f"instruction {i}")
+    assert len(llm._instructions) == 1  # cleared when full, then refilled
+    assert llm._instruction("Special  FLAG") == (
+        "special flag", SYSTEM_PROMPT_TOKENS + approx_token_count("Special  FLAG")
+    )
+    again = llm.judge_filter("Has the  SPECIAL flag", record)
+    assert (again.answer, again.event) == (first.answer, first.event)
+
+
+# ---------------------------------------------------------------------------
+# Substrate golden: one fixed mini-workload, every observable bit digested
+# ---------------------------------------------------------------------------
+
+#: Digest of :func:`_golden_outcome`, recorded before the substrate's
+#: per-instruction and per-token memos existed.  A change to the simulated
+#: substrate that moves one answer, usage event, cache key or virtual second
+#: changes it.
+SUBSTRATE_GOLDEN = "d578bf7092bad939602a31747e13d91f5e8bc1ef1aafe259312a06a6c7f523b6"
+
+_GOLDEN_CONFIGS = (
+    {"use_cache": True},
+    {"use_cache": False},
+    {"use_cache": True, "cache_scope": "tenant-a"},
+)
+
+
+def _golden_outcome() -> str:
+    import hashlib
+
+    from repro.qa.corpus import CorpusSpec, build_corpus, instruction_for
+
+    bundle = build_corpus(CorpusSpec(seed=3, n_records=200))
+    records = bundle.record_list
+    filters = (
+        instruction_for("qa.flag_urgent"),
+        "Is this ticket marked as URGENT?",  # variant phrasing, same intent
+        "The ticket complains about a penguin.",  # unresolved: heuristic path
+    )
+    extracts = (
+        instruction_for("qa.amount"),
+        instruction_for("qa.customer"),
+        "Extract the favourite colour.",  # unresolved
+    )
+    joins = (instruction_for("qa.same_customer"), "Both tickets are about weather.")
+    departments = ["engineering", "finance", "support", "legal"]
+
+    outcome: list = []
+    for config in _GOLDEN_CONFIGS:
+        config = dict(config)
+        scope = config.pop("cache_scope", "")
+        llm = SimulatedLLM(oracle=SemanticOracle(bundle.registry), seed=17, **config)
+        llm.cache_scope = scope
+        answers: list = []
+        for model in ("gpt-4o", "gpt-4o-mini"):
+            with llm.parallel(16):
+                for instruction in filters:
+                    for record in records:
+                        answers.append(llm.judge_filter(instruction, record, model=model).answer)
+            with llm.parallel(8):
+                for instruction in extracts:
+                    for record in records[::3]:
+                        answers.append(llm.extract(instruction, record, model=model).value)
+            for record in records[::5]:
+                answers.append(
+                    llm.classify(
+                        instruction_for("qa.department"), departments, record, model=model
+                    ).value
+                )
+        with llm.parallel(4):
+            for instruction in joins:
+                for left in records[:12]:
+                    for right in records[100:112]:
+                        answers.append(llm.judge_join(instruction, left, right).answer)
+        # Repeats hit the generation cache when it is on.
+        for record in records[:50]:
+            answers.append(llm.judge_filter(filters[0], record).answer)
+        texts = [record.as_text() for record in records]
+        vectors = llm.embed_batch(texts[:120] + texts[:40], batch_size=16)
+        vectors += llm.embed_batch(texts[80:], batch_size=32)
+        vectors.append(llm.embed(texts[7]))
+        answers.append(hashlib.sha256(b"".join(v.tobytes() for v in vectors)).hexdigest())
+        outcome.append(
+            (
+                repr(answers),
+                [dataclasses.astuple(event) for event in llm.tracker.events],
+                list(llm.cache._entries),
+                repr(llm.clock.elapsed),
+            )
+        )
+    return hashlib.sha256(repr(outcome).encode("utf-8")).hexdigest()
+
+
+def test_substrate_golden_digest():
+    assert _golden_outcome() == SUBSTRATE_GOLDEN
