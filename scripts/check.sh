@@ -24,6 +24,10 @@ if [[ "${1:-}" == "--fast" ]]; then
     echo "== fast lane: standing-query smoke =="
     python benchmarks/bench_streaming.py --smoke
     echo
+    echo "== fast lane: committed BENCH numbers reproduced =="
+    git diff --exit-code -- benchmarks/results/
+    echo "benchmarks/results/ unchanged"
+    echo
     echo "check.sh --fast: all green"
     exit 0
 fi
@@ -66,6 +70,13 @@ python benchmarks/bench_sharding.py --smoke
 echo
 echo "== standing-query smoke sweep =="
 python benchmarks/bench_streaming.py --smoke
+
+echo
+echo "== committed BENCH numbers reproduced =="
+# The smoke sweeps rewrite benchmarks/results/; every virtual number is
+# deterministic, so any difference from the committed files is a change.
+git diff --exit-code -- benchmarks/results/
+echo "benchmarks/results/ unchanged"
 
 echo
 echo "== benchmark artifact placement guard =="

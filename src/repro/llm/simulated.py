@@ -27,7 +27,7 @@ matter for fidelity to the paper:
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -634,6 +634,7 @@ class SimulatedLLM:
         texts: list[str],
         tag: str = "",
         batch_size: int = DEFAULT_EMBED_BATCH,
+        check: Callable[[], None] | None = None,
     ) -> list[np.ndarray]:
         """Embed ``texts`` with chunked batch requests instead of one call each.
 
@@ -644,6 +645,8 @@ class SimulatedLLM:
         pricing is linear, so the dollar cost is identical to the per-record
         path — the win is latency: one per-call overhead per chunk instead
         of per text.  Returns vectors positionally aligned with ``texts``.
+        ``check`` runs before each billed request and may raise to stop
+        (the engine's spend-cap guard).
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -662,6 +665,8 @@ class SimulatedLLM:
             misses.append(text)
         for start in range(0, len(misses), batch_size):
             chunk = misses[start : start + batch_size]
+            if check is not None:
+                check()
             self._charge(card, sum(approx_token_count(text) for text in chunk), 0, tag)
             for text in chunk:
                 vector = self.embedding_model.embed(text)

@@ -15,11 +15,13 @@ the runtime promises produce the same answer:
 - ``probe`` — cost-seeking policies (min-cost, balanced).  These may
   legally change answers; only well-formedness and determinism oracles
   apply.
-- ``budget`` — a spend cap at a fraction of the measured baseline cost.
-  Contract: overshoot bounded by one guarded call saga.
-- ``fault`` — seeded fault schedules with retries.  Fault draws depend on
-  attempt ordering, so the only cross-run promise is determinism: the
-  identical config must reproduce the identical result.
+- ``budget`` — a spend cap at a fraction of the measured baseline cost,
+  unsharded and at ``shards=4``.  Contract: overshoot bounded by one
+  guarded call saga.
+- ``fault`` — seeded fault schedules with retries, unsharded and at
+  ``shards=4``.  Fault draws depend on attempt ordering, so the only
+  cross-run promise is determinism: the identical config must reproduce
+  the identical result.
 - ``reuse`` — the same spec run twice against a shared
   :class:`~repro.sem.materialize.MaterializationStore` (fresh substrate
   each time).  Contract: the warm run's records are bit-identical to the
@@ -313,20 +315,24 @@ def config_matrix(plan, case_seed: int = 0) -> list[ConfigSpec]:
             ConfigSpec(name="budget-tight", answer_class="budget",
                        budget_fraction=0.15)
         )
-        # fault class: seeded faults + retries; determinism only.
         specs.append(
-            ConfigSpec(
-                name="faulty",
-                answer_class="fault",
-                llm_seed=case_seed % 1000,
-                fault=FaultConfig(
-                    rate=0.08,
-                    kinds=("rate_limit", "api"),
-                    rate_limit_storms=((5.0, 20.0),),
-                    storm_rate=0.5,
-                ).to_dict(),
-                retry=RetryPolicy(max_attempts=3, base_backoff_s=0.5).to_dict(),
-            )
+            ConfigSpec(name="budget-sharded", answer_class="budget",
+                       budget_fraction=0.5, shards=4)
         )
+        # fault class: seeded faults + retries; determinism only.
+        faulty = ConfigSpec(
+            name="faulty",
+            answer_class="fault",
+            llm_seed=case_seed % 1000,
+            fault=FaultConfig(
+                rate=0.08,
+                kinds=("rate_limit", "api"),
+                rate_limit_storms=((5.0, 20.0),),
+                storm_rate=0.5,
+            ).to_dict(),
+            retry=RetryPolicy(max_attempts=3, base_backoff_s=0.5).to_dict(),
+        )
+        specs.append(faulty)
+        specs.append(replace(faulty, name="faulty-sharded", shards=4))
 
     return specs

@@ -51,11 +51,15 @@ def _scramble_cell_order() -> Iterator[None]:
 
     original = Engine._run_cell
 
-    def scrambled(self, operator, batch, state, account):
-        records, seconds = original(self, operator, batch, state, account)
+    def scrambled(self, operator, batch, state, account, indexed=False):
+        records, indices, seconds = original(
+            self, operator, batch, state, account, indexed
+        )
+        if indices is not None:
+            indices = list(reversed(indices))
         if isinstance(records, RecordBatch):
-            return RecordBatch(list(reversed(records.records))), seconds
-        return list(reversed(records)), seconds
+            return RecordBatch(list(reversed(records.records))), indices, seconds
+        return list(reversed(records)), indices, seconds
 
     Engine._run_cell = scrambled
     try:

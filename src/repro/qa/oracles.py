@@ -211,8 +211,15 @@ def check_budget(run) -> list[Violation]:
                     f"{cap:.6f} (allowance {allowance:.6f})",
                 )
             )
-    # Monotonicity: a tighter cap can never spend more than a looser one.
-    for tighter, looser in zip(budget_runs, budget_runs[1:]):
+    # Monotonicity: a tighter cap can never spend more than a looser one
+    # run the same way (sharded and unsharded runs stop at different calls,
+    # so caps are only ordered within one execution mode).
+    by_mode: dict[int, list] = {}
+    for observation in budget_runs:
+        by_mode.setdefault(observation.spec.shards, []).append(observation)
+    for tighter, looser in (
+        pair for runs in by_mode.values() for pair in zip(runs, runs[1:])
+    ):
         if tighter.total_cost_usd > looser.total_cost_usd + COST_EPS:
             violations.append(
                 Violation(

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.data.records import DataRecord
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, ExecutionError
 from repro.llm.usage import UsageTracker
 from repro.sem.batch import RecordBatch
 from repro.sem.physical import ExecutionContext, PhysicalOperator
@@ -250,7 +250,8 @@ def _stats_attrs(stats: OperatorStats) -> dict:
 
 
 class _StageAccount:
-    """Running per-stage totals for one pipelined section."""
+    """Running totals for one operator: a pipelined stage, a barrier step,
+    or one phase of a sharded exchange."""
 
     def __init__(self, operator: PhysicalOperator) -> None:
         self.operator = operator
@@ -264,6 +265,27 @@ class _StageAccount:
         self.failed_records = 0
         self.input_tokens = 0
         self.output_tokens = 0
+
+    def absorb(
+        self,
+        ctx: ExecutionContext,
+        checkpoint: int,
+        failures_before: int,
+        seconds: float,
+    ) -> None:
+        """Add the usage billed and records degraded since ``checkpoint``."""
+        tracker = ctx.llm.tracker
+        usage = tracker.since(checkpoint)
+        self.cost_usd += usage.cost_usd
+        self.llm_calls += usage.calls
+        self.input_tokens += usage.input_tokens
+        self.output_tokens += usage.output_tokens
+        self.cached_calls += sum(
+            1 for event in tracker.events[checkpoint:] if event.cached
+        )
+        self.retried_calls += tracker.failed_calls(checkpoint)
+        self.failed_records += len(ctx.failures) - failures_before
+        self.time_s += seconds
 
     def to_stats(self) -> OperatorStats:
         return OperatorStats(
@@ -283,6 +305,48 @@ class _StageAccount:
             input_tokens=self.input_tokens,
             output_tokens=self.output_tokens,
         )
+
+
+@dataclass
+class _SectionRun:
+    """What one pass of the section executor produced."""
+
+    outputs: list[DataRecord]
+    #: Fresh per-stage streaming state (the sharded top-k merge reads it).
+    states: list[dict]
+    truncated: bool = False
+    makespan: float = 0.0
+    #: Input index of each output record (deferred runs only).
+    positions: list[int] = field(default_factory=list)
+    #: ``(stage, start_s, end_s, batch, records)`` per cell, section-relative
+    #: (deferred runs only; online runs emit cell spans as they go).
+    cells: list[tuple] = field(default_factory=list)
+
+
+def _kept_indices(
+    operator: PhysicalOperator, rows: list[DataRecord], kept: list[DataRecord]
+) -> range | list[int]:
+    """Input index of each record a vectorized stage emitted.
+
+    Vectorized stages are token-free and either keep their input's length
+    (map, project) or return a subsequence of its record objects (filter,
+    limit); any other shape would misplace records in the sharded merge.
+    """
+    if len(kept) == len(rows):
+        return range(len(rows))
+    indices = []
+    cursor = 0
+    for record in kept:
+        while cursor < len(rows) and rows[cursor] is not record:
+            cursor += 1
+        if cursor == len(rows):
+            raise ExecutionError(
+                f"{operator.label()}: a vectorized stage must keep its input "
+                "length or emit a subsequence of its input records"
+            )
+        indices.append(cursor)
+        cursor += 1
+    return indices
 
 
 class Engine:
@@ -329,6 +393,7 @@ class Engine:
         self.shard_plan = shard_plan
 
     def execute(self, operators: list[PhysicalOperator]) -> ExecutionResult:
+        self._start_run()
         if self.shard_plan is not None:
             from repro.sem.shard import ShardedExecutor
 
@@ -338,20 +403,11 @@ class Engine:
         metrics = llm.metrics
         records: list[DataRecord] = []
         stats: list[OperatorStats] = []
-        run_start_cost = llm.tracker.spent_usd
-        run_start_time = llm.clock.elapsed
-        run_checkpoint = llm.tracker.checkpoint()
-        # Thread the spend cap into the context so operators can truncate
-        # mid-batch instead of overshooting to the next operator boundary.
-        self.ctx.cost_baseline_usd = run_start_cost
-        if self.max_cost_usd is not None and self.ctx.max_cost_usd is None:
-            self.ctx.max_cost_usd = self.max_cost_usd
         truncated = False
 
         index = 0
         while index < len(operators):
-            spent = llm.tracker.spent_usd - run_start_cost
-            if self.max_cost_usd is not None and spent >= self.max_cost_usd:
+            if self._cap_reached():
                 truncated = True
                 break
 
@@ -362,9 +418,12 @@ class Engine:
                     f"pipeline[{label}]", kind="pipeline-section",
                     stages=len(section),
                 ) as section_span:
-                    records, section_stats, truncated = self._execute_section(
-                        section, records, section_span
+                    accounts = [_StageAccount(operator) for operator in section]
+                    run = self._execute_section(
+                        section, records, accounts, section_span
                     )
+                records, truncated = run.outputs, run.truncated
+                section_stats = [account.to_stats() for account in accounts]
                 stats.extend(section_stats)
                 if tracer.enabled and self.stats_plan:
                     stage_stats = []
@@ -386,10 +445,7 @@ class Engine:
                     )
                 if truncated:
                     break
-                self._maybe_capture(
-                    index + len(section) - 1, records, llm,
-                    run_start_cost, run_start_time, run_checkpoint,
-                )
+                self._maybe_capture(index + len(section) - 1, records)
                 replanned = self._maybe_replan(
                     operators, index + len(section), len(records)
                 )
@@ -398,77 +454,100 @@ class Engine:
                 index += len(section)
                 continue
 
-            operator = operators[index]
-            checkpoint = llm.tracker.checkpoint()
-            time_before = llm.clock.elapsed
-            failures_before = len(self.ctx.failures)
-            n_in = len(records)
-            with tracer.span(operator.label(), kind="operator") as op_span:
-                try:
-                    records = operator.execute(records, self.ctx)
-                    n_out = len(records)
-                except BudgetExceededError:
-                    # Mid-operator truncation: the partial output is discarded
-                    # (records keeps the last finished operator's output), but
-                    # the spend and calls the operator burned are accounted.
-                    truncated = True
-                    n_out = 0
-            usage = llm.tracker.since(checkpoint)
-            cached = sum(
-                1 for event in llm.tracker.events[checkpoint:] if event.cached
-            )
-            op_stats = OperatorStats(
-                label=operator.label(),
-                model=operator.model,
-                reused=getattr(operator, "reused", False),
-                sql_pushdown=getattr(operator, "pushed_down", False),
-                records_scanned=getattr(operator, "scanned", 0),
-                records_in=n_in,
-                records_out=n_out,
-                cost_usd=usage.cost_usd,
-                time_s=llm.clock.elapsed - time_before,
-                llm_calls=usage.calls,
-                cached_calls=cached,
-                retried_calls=llm.tracker.failed_calls(checkpoint),
-                failed_records=len(self.ctx.failures) - failures_before,
-                input_tokens=usage.input_tokens,
-                output_tokens=usage.output_tokens,
+            output, op_stats, truncated = self._run_operator(
+                operators[index], records, index
             )
             stats.append(op_stats)
-            if tracer.enabled:
-                op_span.attributes.update(_stats_attrs(op_stats))
-                entry = self._stats_entry(index)
-                if entry is not None:
-                    op_span.attributes["stats"] = dict(entry)
-            if metrics.enabled:
-                metrics.histogram("engine.operator_s").observe(op_stats.time_s)
             if truncated:
+                # The partial output is discarded: records keeps the last
+                # finished operator's output.
                 break
-            self._maybe_capture(
-                index, records, llm, run_start_cost, run_start_time, run_checkpoint
-            )
+            records = output
+            self._maybe_capture(index, records)
             replanned = self._maybe_replan(operators, index + 1, len(records))
             if replanned is not None:
                 operators = replanned
             index += 1
 
-        if metrics.enabled and truncated:
-            metrics.counter("engine.truncations").inc()
+        return self._result(records, stats, truncated)
+
+    def _start_run(self) -> None:
+        """Note where this run's spend, time and usage events start."""
+        llm = self.ctx.llm
+        self.run_start_cost = llm.tracker.spent_usd
+        self.run_start_time = llm.clock.elapsed
+        self.run_checkpoint = llm.tracker.checkpoint()
+        # Thread the spend cap into the context so operators can truncate
+        # mid-batch instead of overshooting to the next operator boundary.
+        self.ctx.cost_baseline_usd = self.run_start_cost
+        if self.max_cost_usd is not None and self.ctx.max_cost_usd is None:
+            self.ctx.max_cost_usd = self.max_cost_usd
+
+    def _cap_reached(self) -> bool:
+        """Whether the spend cap is used up (checked at operator boundaries)."""
+        spent = self.ctx.llm.tracker.spent_usd - self.run_start_cost
+        return self.max_cost_usd is not None and spent >= self.max_cost_usd
+
+    def _result(
+        self, records: list[DataRecord], stats: list[OperatorStats], truncated: bool
+    ) -> ExecutionResult:
+        llm = self.ctx.llm
+        if llm.metrics.enabled and truncated:
+            llm.metrics.counter("engine.truncations").inc()
         return ExecutionResult(
             records=records,
             operator_stats=stats,
-            total_cost_usd=llm.tracker.spent_usd - run_start_cost,
-            total_time_s=llm.clock.elapsed - run_start_time,
+            total_cost_usd=llm.tracker.spent_usd - self.run_start_cost,
+            total_time_s=llm.clock.elapsed - self.run_start_time,
             truncated=truncated,
             retried_calls=sum(s.retried_calls for s in stats),
             failed_records=sum(s.failed_records for s in stats),
         )
 
-    def _stats_entry(self, position: int):
+    def _stats_entry(self, position: int | None):
         plan = self.stats_plan
-        if not plan or position >= len(plan):
+        if not plan or position is None or position >= len(plan):
             return None
         return plan[position]
+
+    def _run_operator(
+        self,
+        operator: PhysicalOperator,
+        records: list[DataRecord],
+        position: int | None = None,
+    ) -> tuple[list[DataRecord], OperatorStats, bool]:
+        """One operator over its whole input, charged on the clock directly.
+
+        Returns (output, stats, truncated).  A spend-cap cut mid-operator
+        yields no output, but the spend and calls it burned are accounted.
+        ``position`` keys the statistics metadata attached to the span.
+        """
+        ctx = self.ctx
+        llm = ctx.llm
+        tracer = llm.tracer
+        account = _StageAccount(operator)
+        account.records_in = len(records)
+        checkpoint = llm.tracker.checkpoint()
+        failures_before = len(ctx.failures)
+        time_before = llm.clock.elapsed
+        output: list[DataRecord] = []
+        truncated = False
+        with tracer.span(operator.label(), kind="operator") as op_span:
+            try:
+                output = operator.execute(records, ctx)
+            except BudgetExceededError:
+                truncated = True
+        account.absorb(ctx, checkpoint, failures_before, llm.clock.elapsed - time_before)
+        account.records_out = len(output)
+        op_stats = account.to_stats()
+        if tracer.enabled:
+            op_span.attributes.update(_stats_attrs(op_stats))
+            entry = self._stats_entry(position)
+            if entry is not None:
+                op_span.attributes["stats"] = dict(entry)
+        if llm.metrics.enabled:
+            llm.metrics.histogram("engine.operator_s").observe(op_stats.time_s)
+        return output, op_stats, truncated
 
     def _maybe_replan(
         self,
@@ -491,15 +570,7 @@ class Engine:
             return None
         return operators[:boundary] + new_suffix
 
-    def _maybe_capture(
-        self,
-        position: int,
-        records: list[DataRecord],
-        llm,
-        run_start_cost: float,
-        run_start_time: float,
-        run_checkpoint: int,
-    ) -> None:
+    def _maybe_capture(self, position: int, records: list[DataRecord]) -> None:
         """Materialize the boundary after operator ``position`` if eligible.
 
         Capture is skipped on tainted runs: degraded records (``skip``) or
@@ -515,16 +586,23 @@ class Engine:
         fingerprint = plan.fingerprints[position]
         if fingerprint is None:
             return
-        if self.ctx.failures or llm.tracker.failed_calls(run_checkpoint):
+        if self._tainted():
             return
+        llm = self.ctx.llm
         plan.store.put(
             fingerprint,
             records,
             source_uids=plan.source_uids,
             source_id=plan.source_id,
-            cost_usd=plan.carried_cost_usd + (llm.tracker.spent_usd - run_start_cost),
-            time_s=plan.carried_time_s + (llm.clock.elapsed - run_start_time),
+            cost_usd=plan.carried_cost_usd + (llm.tracker.spent_usd - self.run_start_cost),
+            time_s=plan.carried_time_s + (llm.clock.elapsed - self.run_start_time),
             content_version=plan.content_version,
+        )
+
+    def _tainted(self) -> bool:
+        """Whether any record degraded or call failed since the run began."""
+        return bool(
+            self.ctx.failures or self.ctx.llm.tracker.failed_calls(self.run_checkpoint)
         )
 
     def _section_at(
@@ -550,53 +628,69 @@ class Engine:
         self,
         section: list[PhysicalOperator],
         input_records: list[DataRecord],
+        accounts: list[_StageAccount],
         section_span=None,
-    ) -> tuple[list[DataRecord], list[OperatorStats], bool]:
+        batch_size: int | None = None,
+        deferred: bool = False,
+    ) -> _SectionRun:
         """Stream ``input_records`` through fused stages in record batches.
 
-        Returns (output records, per-stage stats, truncated).  Cells run
-        depth-first per batch; the clock advances online by the growth of
-        the section's pipelined makespan after every cell.  Each cell is
-        also exported as a span at its *scheduled* position (section origin
-        + the :class:`PipelineSchedule` placement) on a per-stage track, so
-        a trace shows the overlap the makespan accounting charges for.
+        Cells run depth-first per batch and add their usage to ``accounts``
+        (one per stage).  Online, the clock advances by the growth of the
+        section's pipelined makespan after every cell, and each cell is
+        exported as a span at its *scheduled* position (section origin +
+        the :class:`PipelineSchedule` placement) on a per-stage track, so a
+        trace shows the overlap the makespan accounting charges for.
+
+        ``deferred`` runs one simulated worker of the sharded executor: the
+        clock is left alone, the cells and makespan are returned for the
+        caller to charge and trace, and every output carries its input
+        index.  Only the last stage (a merge finisher) may hold records
+        back there; each held record keeps the index it entered with.
         """
         ctx = self.ctx
         tracer = ctx.llm.tracer
         metrics = ctx.llm.metrics
         origin = ctx.llm.clock.elapsed
-        states = [operator.new_state(ctx) for operator in section]
-        accounts = [_StageAccount(operator) for operator in section]
+        size = batch_size or self.batch_size
+        run = _SectionRun([], [operator.new_state(ctx) for operator in section])
+        states = run.states
         schedule = PipelineSchedule()
         charged = 0.0
-        outputs: list[DataRecord] = []
-        truncated = False
         batch_no = 0
+        last = len(section) - 1
+        #: uid -> input index of the records that reached the last stage.
+        entered: dict[str, int] = {}
 
-        def charge_progress() -> float:
+        def record_cell(stage: int, seconds: float, n_records: int) -> None:
             nonlocal charged
+            schedule.record(stage, seconds)
+            if metrics.enabled:
+                metrics.histogram("engine.cell_s").observe(seconds)
+            if deferred:
+                run.cells.append((stage, *schedule.last_cell, batch_no, n_records))
+                return
+            if tracer.enabled:
+                start, end = schedule.last_cell
+                tracer.add_span(
+                    f"{section[stage].label()} b{batch_no}", "cell",
+                    origin + start, origin + end,
+                    track=f"stage {stage}", parent=section_span,
+                    batch=batch_no, stage=stage, records=n_records,
+                )
             if schedule.makespan > charged:
                 ctx.llm.clock.advance(schedule.makespan - charged)
                 charged = schedule.makespan
-            return charged
 
-        def emit_cell(stage: int, n_records: int) -> None:
-            start, end = schedule.last_cell
-            tracer.add_span(
-                f"{section[stage].label()} b{batch_no}", "cell",
-                origin + start, origin + end,
-                track=f"stage {stage}", parent=section_span,
-                batch=batch_no, stage=stage, records=n_records,
-            )
-
-        def run_stages(batch: list[DataRecord], first_stage: int) -> list[DataRecord]:
-            """One batch through stages ``first_stage``.. — returns survivors.
+        def run_stages(batch, positions, first_stage: int) -> None:
+            """One batch through stages ``first_stage``..; survivors join
+            ``run.outputs`` (and their input indices ``run.positions``).
 
             In columnar mode ``current`` may be a
             :class:`~repro.sem.batch.RecordBatch` between vectorized
             stages; it is unwrapped back to records at the section exit.
             """
-            nonlocal truncated, batch_no
+            nonlocal batch_no
             batch_no += 1
             schedule.start_batch()
             current = batch
@@ -604,61 +698,60 @@ class Engine:
                 if not len(current):
                     break
                 n_records = len(current)
+                if deferred and stage == last:
+                    rows = current.records if isinstance(current, RecordBatch) else current
+                    entered.update(zip((record.uid for record in rows), positions))
                 try:
-                    current, seconds = self._run_cell(
-                        section[stage], current, states[stage], accounts[stage]
+                    current, indices, seconds = self._run_cell(
+                        section[stage], current, states[stage], accounts[stage],
+                        indexed=deferred,
                     )
                 except BudgetExceededError as exc:
-                    truncated = True
-                    seconds = exc.cell_seconds if hasattr(exc, "cell_seconds") else 0.0
-                    schedule.record(stage, seconds)
-                    if tracer.enabled:
-                        emit_cell(stage, n_records)
-                    charge_progress()
-                    return []
-                schedule.record(stage, seconds)
-                if tracer.enabled:
-                    emit_cell(stage, n_records)
-                if metrics.enabled:
-                    metrics.histogram("engine.cell_s").observe(seconds)
-                charge_progress()
+                    run.truncated = True
+                    record_cell(stage, getattr(exc, "cell_seconds", 0.0), n_records)
+                    return
+                if deferred:
+                    positions = [positions[index] for index in indices]
+                record_cell(stage, seconds, n_records)
             if isinstance(current, RecordBatch):
-                return current.records
-            return current
+                current = current.records
+            run.outputs.extend(current)
+            if deferred:
+                run.positions.extend(positions)
 
-        for start in range(0, len(input_records), self.batch_size):
-            if truncated:
+        for start in range(0, len(input_records), size):
+            if run.truncated:
                 break
             # Early-exit pushdown: a sated stage (a filled limit) means no
             # further input batch can change the output — stop scanning.
             if any(op.sated(state) for op, state in zip(section, states)):
                 break
-            survivors = run_stages(input_records[start : start + self.batch_size], 0)
-            outputs.extend(survivors)
+            batch = input_records[start : start + size]
+            run_stages(batch, range(start, start + len(batch)), 0)
 
         # Flush held-back records (e.g. top-k winners) downstream, in stage
         # order so later holdbacks see everything emitted before them.
-        if not truncated:
+        if not run.truncated:
             for stage, operator in enumerate(section):
                 held = operator.finalize(ctx, states[stage])
                 if not held:
                     continue
                 accounts[stage].records_out += len(held)
-                survivors = run_stages(held, stage + 1)
-                outputs.extend(survivors)
-                if truncated:
+                positions = [entered[record.uid] for record in held] if deferred else None
+                run_stages(held, positions, stage + 1)
+                if run.truncated:
                     break
 
-        section_stats = [account.to_stats() for account in accounts]
+        run.makespan = schedule.makespan
         if tracer.enabled and section_span is not None:
             section_span.attributes.update(
                 batches=batch_no,
                 makespan_s=schedule.makespan,
                 records_in=len(input_records),
-                records_out=len(outputs),
-                cost_usd=round(sum(s.cost_usd for s in section_stats), 6),
+                records_out=len(run.outputs),
+                cost_usd=round(sum(account.cost_usd for account in accounts), 6),
             )
-        return outputs, section_stats, truncated
+        return run
 
     def _run_cell(
         self,
@@ -666,15 +759,17 @@ class Engine:
         batch: list[DataRecord],
         state: dict,
         account: _StageAccount,
-    ) -> tuple[list[DataRecord], float]:
+        indexed: bool = False,
+    ) -> tuple[list[DataRecord], list[int] | None, float]:
         """One batch through one stage: measured, width-adaptive, guarded.
 
-        Returns (emitted records, cell seconds).  When the wave drew
-        rate-limit faults and the adaptive controller narrowed the width,
-        records whose calls exhausted their retries are resubmitted once at
-        the reduced width (their failure flags are withdrawn; a second
-        exhaustion re-flags them).  On a budget cut the measured seconds
-        ride along on the raised error so the caller can still charge them.
+        Returns (emitted records, each one's input index when ``indexed``
+        else None, cell seconds).  When the wave drew rate-limit faults
+        and the adaptive controller narrowed the width, records whose
+        calls exhausted their retries are resubmitted once at the reduced
+        width (their failure flags are withdrawn; a second exhaustion
+        re-flags them).  On a budget cut the measured seconds ride along on
+        the raised error so the caller can still charge them.
         """
         ctx = self.ctx
         tracker: UsageTracker = ctx.llm.tracker
@@ -745,24 +840,22 @@ class Engine:
             except BudgetExceededError as exc:
                 budget_error = exc
 
-        usage = tracker.since(checkpoint)
-        account.cost_usd += usage.cost_usd
-        account.llm_calls += usage.calls
-        account.input_tokens += usage.input_tokens
-        account.output_tokens += usage.output_tokens
-        account.cached_calls += sum(
-            1 for event in tracker.events[checkpoint:] if event.cached
-        )
-        account.retried_calls += tracker.failed_calls(checkpoint)
-        account.failed_records += len(ctx.failures) - failures_before
-        account.time_s += measured.seconds
-
+        account.absorb(ctx, checkpoint, failures_before, measured.seconds)
         if budget_error is not None:
             budget_error.cell_seconds = measured.seconds
             raise budget_error
         if batch_result is not None:
             account.records_out += len(batch_result)
-            return batch_result, measured.seconds
-        results = [record for position in sorted(emitted) for record in emitted[position]]
+            indices = (
+                _kept_indices(operator, rows, batch_result.records)
+                if indexed else None
+            )
+            return batch_result, indices, measured.seconds
+        order = sorted(emitted)
+        results = [record for position in order for record in emitted[position]]
         account.records_out += len(results)
-        return results, measured.seconds
+        indices = (
+            [position for position in order for _ in emitted[position]]
+            if indexed else None
+        )
+        return results, indices, measured.seconds

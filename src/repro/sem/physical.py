@@ -169,15 +169,24 @@ class ExecutionContext:
             return None
 
 
+def _embed(text: str, ctx: ExecutionContext, tag: str) -> np.ndarray:
+    """One embedding call under the spend cap."""
+    ctx.check_budget()
+    return ctx.llm.embed(text, tag=tag)
+
+
 def _embed_texts(texts: list[str], ctx: ExecutionContext, tag: str) -> list[np.ndarray]:
     """Embed ``texts`` one batched request per chunk, or one call per text.
 
     ``ctx.embed_batch_size > 1`` selects the vectorized path (the pipelined
     executor); 1 keeps the legacy per-record calls and their exact timing.
+    The spend cap is checked before every billed request on both paths.
     """
     if ctx.embed_batch_size > 1:
-        return ctx.llm.embed_batch(texts, tag=tag, batch_size=ctx.embed_batch_size)
-    return [ctx.llm.embed(text, tag=tag) for text in texts]
+        return ctx.llm.embed_batch(
+            texts, tag=tag, batch_size=ctx.embed_batch_size, check=ctx.check_budget
+        )
+    return [_embed(text, ctx, tag) for text in texts]
 
 
 class PhysicalOperator(abc.ABC):
@@ -363,7 +372,7 @@ class PhysRetrieve(PhysicalOperator):
         if not records:
             return []
         tag = f"{ctx.tag}:retrieve"
-        query_vec = ctx.llm.embed(op.query, tag=tag)
+        query_vec = _embed(op.query, ctx, tag)
         matrix = np.stack(
             _embed_texts([record.as_text() for record in records], ctx, tag)
         )
@@ -585,7 +594,7 @@ class PhysSemJoinBlocked(PhysicalOperator):
         model = self.model or self.logical_op.model
         tag = f"{ctx.tag}:join"
         if left_vec is None:
-            left_vec = ctx.llm.embed(left.as_text(), tag=tag)
+            left_vec = _embed(left.as_text(), ctx, tag)
         hits = top_k_similar(left_vec, right_matrix, self.max_candidates_per_left)
         joined: list[DataRecord] = []
         for index, similarity in hits:
@@ -739,7 +748,7 @@ class PhysSemTopK(StreamingOperator):
             return
         tag = f"{ctx.tag}:topk"
         if "query_vec" not in state:
-            state["query_vec"] = ctx.llm.embed(self.logical_op.query, tag=tag)
+            state["query_vec"] = _embed(self.logical_op.query, ctx, tag)
         vectors = _embed_texts([record.as_text() for record in records], ctx, tag)
         for record, vector in zip(records, vectors):
             state["sims"][record.uid] = cosine_similarity(state["query_vec"], vector)

@@ -19,15 +19,17 @@ and groups the chain into exchange segments:
 - **global** — sources and whole-input aggregations run once at the
   coordinator, exactly as in unsharded execution.
 
-Workers are *simulated*: each shard's work runs in a
-:meth:`~repro.llm.simulated.SimulatedLLM.measure` block on its own
-:class:`~repro.utils.clock.PipelineSchedule`, so no virtual time passes
-while a shard runs; after all shards of a segment finish, the clock is
-charged ``max(shard makespans)`` — N workers in parallel — and the gap
-``max - min`` is the segment's measurable straggler cost.  Under a
-serving sink the same charge is routed through
-``serve_sink.end_step(width, busy)`` so the shared clock is never touched
-directly (the serving invariant).
+Workers are *simulated*: a scatter shard runs its partition through the
+engine's section executor in deferred mode (measured cells on the shard's
+own :class:`~repro.utils.clock.PipelineSchedule`, no clock writes), so it
+gets the engine's adaptive wave width, columnar stages, sated-limit exit
+and spend-cap truncation; shuffle and broadcast phases run each shard in
+a :meth:`~repro.llm.simulated.SimulatedLLM.measure` block.  After all
+shards of a segment finish, the clock is charged ``max(shard
+makespans)`` — N workers in parallel — and the gap ``max - min`` is the
+segment's measurable straggler cost.  Under a serving sink the same
+charge is routed through ``serve_sink.end_step(width, busy)`` so the
+shared clock is never touched directly (the serving invariant).
 
 Determinism and bit-identity: partitioners are pure functions of record
 uid / position; simulated answers are pure functions of (seed, model,
@@ -71,7 +73,6 @@ from repro.sem.physical import (
     PhysSemTopK,
     _embed_texts,
 )
-from repro.utils.clock import PipelineSchedule
 from repro.utils.hashing import stable_hash
 
 #: Supported partitioning strategies for scatter/shuffle exchanges.
@@ -170,6 +171,12 @@ class ShardSegment:
     replayed_shards: int = 0
     #: Shards that ran only their appended delta tail.
     delta_shards: int = 0
+
+    def note_shards(self, makespans: list[float], shards: list[list]) -> None:
+        """Record each shard's makespan and input rows, and the straggler gap."""
+        self.shard_makespans = list(makespans)
+        self.shard_rows = [len(shard) for shard in shards]
+        self.straggler_gap_s = max(makespans) - min(makespans)
 
 
 @dataclass
@@ -321,59 +328,31 @@ class ShardedExecutor:
         self.engine = engine
         self.plan = plan
         self.ctx = engine.ctx
-        self.run_checkpoint = 0
 
     # ------------------------------------------------------------------
     # Top level
     # ------------------------------------------------------------------
 
     def execute(self, operators: list[PhysicalOperator]):
-        from repro.sem.execution import ExecutionResult
-
-        ctx = self.ctx
-        llm = ctx.llm
+        """Run the plan's segments; the engine has already started the run."""
         engine = self.engine
-        metrics = llm.metrics
-        run_start_cost = llm.tracker.spent_usd
-        run_start_time = llm.clock.elapsed
-        self.run_checkpoint = llm.tracker.checkpoint()
-        ctx.cost_baseline_usd = run_start_cost
-        if engine.max_cost_usd is not None and ctx.max_cost_usd is None:
-            ctx.max_cost_usd = engine.max_cost_usd
         truncated = False
-
         stats: list[OperatorStats] = []
         start_segment, records = self._replay_prefix(operators, stats)
 
         for segment in self.plan.segments[start_segment:]:
-            spent = llm.tracker.spent_usd - run_start_cost
-            if engine.max_cost_usd is not None and spent >= engine.max_cost_usd:
+            if engine._cap_reached():
                 truncated = True
                 break
-            new_records, segment_stats, segment_truncated = self._run_segment(
+            new_records, segment_stats, truncated = self._run_segment(
                 segment, operators, records
             )
             stats.extend(segment_stats)
-            if segment_truncated:
-                truncated = True
+            if truncated:
                 break
             records = new_records
-            engine._maybe_capture(
-                segment.end - 1, records, llm,
-                run_start_cost, run_start_time, self.run_checkpoint,
-            )
-
-        if metrics.enabled and truncated:
-            metrics.counter("engine.truncations").inc()
-        return ExecutionResult(
-            records=records,
-            operator_stats=stats,
-            total_cost_usd=llm.tracker.spent_usd - run_start_cost,
-            total_time_s=llm.clock.elapsed - run_start_time,
-            truncated=truncated,
-            retried_calls=sum(s.retried_calls for s in stats),
-            failed_records=sum(s.failed_records for s in stats),
-        )
+            engine._maybe_capture(segment.end - 1, records)
+        return engine._result(records, stats, truncated)
 
     def _replay_prefix(
         self, operators: list[PhysicalOperator], stats: list[OperatorStats]
@@ -449,7 +428,10 @@ class ShardedExecutor:
     ):
         tracer = self.ctx.llm.tracer
         if segment.kind == "global":
-            return self._run_global(operators[segment.start], records)
+            output, op_stats, truncated = self.engine._run_operator(
+                operators[segment.start], records
+            )
+            return output, [op_stats], truncated
         label = " | ".join(
             op.label() for op in operators[segment.start : segment.end]
         )
@@ -482,49 +464,6 @@ class ShardedExecutor:
                 )
         return merged, segment_stats, truncated
 
-    def _run_global(self, operator: PhysicalOperator, records: list[DataRecord]):
-        """One coordinator-side operator, exactly the engine's barrier path."""
-        from repro.sem.execution import _stats_attrs
-
-        ctx = self.ctx
-        llm = ctx.llm
-        tracer = llm.tracer
-        checkpoint = llm.tracker.checkpoint()
-        time_before = llm.clock.elapsed
-        failures_before = len(ctx.failures)
-        n_in = len(records)
-        truncated = False
-        with tracer.span(operator.label(), kind="operator") as op_span:
-            try:
-                records = operator.execute(records, ctx)
-                n_out = len(records)
-            except BudgetExceededError:
-                truncated = True
-                n_out = 0
-                records = []
-        usage = llm.tracker.since(checkpoint)
-        cached = sum(1 for event in llm.tracker.events[checkpoint:] if event.cached)
-        op_stats = OperatorStats(
-            label=operator.label(),
-            model=operator.model,
-            reused=getattr(operator, "reused", False),
-            sql_pushdown=getattr(operator, "pushed_down", False),
-            records_scanned=getattr(operator, "scanned", 0),
-            records_in=n_in,
-            records_out=n_out,
-            cost_usd=usage.cost_usd,
-            time_s=llm.clock.elapsed - time_before,
-            llm_calls=usage.calls,
-            cached_calls=cached,
-            retried_calls=llm.tracker.failed_calls(checkpoint),
-            failed_records=len(ctx.failures) - failures_before,
-            input_tokens=usage.input_tokens,
-            output_tokens=usage.output_tokens,
-        )
-        if tracer.enabled:
-            op_span.attributes.update(_stats_attrs(op_stats))
-        return records, [op_stats], truncated
-
     # ------------------------------------------------------------------
     # Scatter segments (with optional merge finisher)
     # ------------------------------------------------------------------
@@ -540,14 +479,12 @@ class ShardedExecutor:
         llm = ctx.llm
         tracer = llm.tracer
         plan = self.plan
-        n = plan.n_shards
         section = operators[segment.start : segment.end]
         accounts = [_StageAccount(op) for op in section]
         finisher = operators[segment.finisher] if segment.finisher is not None else None
-        stages = section[:-1] if finisher is not None else section
 
         items = list(enumerate(records))
-        shards = partition_records(items, n, plan.partitioner)
+        shards = partition_records(items, plan.n_shards, plan.partitioner)
 
         capture = self.engine.capture
         base_fingerprint = None
@@ -567,30 +504,36 @@ class ShardedExecutor:
         segment.replayed_shards = 0
         segment.delta_shards = 0
 
-        for shard_index in range(n):
-            seconds, shard_truncated = self._run_one_shard(
-                shard_index, shards[shard_index], stages, finisher,
-                accounts, segment, out_by_pos, topk_candidates,
-                base_fingerprint, cells,
+        for shard_index, shard_items in enumerate(shards):
+            run = self._run_shard(
+                shard_index, shard_items, section, accounts, segment,
+                out_by_pos, base_fingerprint,
             )
-            shard_seconds.append(seconds)
-            if shard_truncated:
+            if run is None:
+                shard_seconds.append(0.0)
+                continue
+            shard_seconds.append(run.makespan)
+            cells.extend((shard_index, *cell) for cell in run.cells)
+            if run.truncated:
                 truncated = True
                 break
+            if isinstance(finisher, PhysSemTopK):
+                # Each worker's partial top-k, tagged for the global rerank.
+                scored = run.states[-1]["scored"]
+                for position, record in zip(run.positions, run.outputs):
+                    relevant, similarity, _, _ = scored[record.uid]
+                    topk_candidates.append(
+                        (relevant, similarity, position, record.uid, record)
+                    )
 
         self._charge(shard_seconds)
-        segment.shard_makespans = list(shard_seconds)
-        segment.shard_rows = [len(shard) for shard in shards]
-        segment.straggler_gap_s = (
-            max(shard_seconds) - min(shard_seconds) if shard_seconds else 0.0
-        )
+        segment.note_shards(shard_seconds, shards)
         segment.moved_records = len(items)
 
         if tracer.enabled and llm.serve_sink is None:
-            ops_by_stage = stages + ([finisher] if finisher is not None else [])
             for shard_index, stage, start_s, end_s, batch_no, n_records in cells:
                 tracer.add_span(
-                    f"{ops_by_stage[stage].label()} s{shard_index}b{batch_no}",
+                    f"{section[stage].label()} s{shard_index}b{batch_no}",
                     "cell",
                     origin + start_s,
                     origin + end_s,
@@ -601,7 +544,7 @@ class ShardedExecutor:
                 )
 
         if truncated:
-            return [], self._finish_stats(accounts, segment, None), True
+            return [], self._finish_stats(accounts, segment), True
 
         merged = [
             record for position in sorted(out_by_pos)
@@ -627,7 +570,7 @@ class ShardedExecutor:
         self,
         accounts: list[_StageAccount],
         segment: ShardSegment,
-        merged_count: int | None,
+        merged_count: int | None = None,
     ) -> list[OperatorStats]:
         stats = []
         for account in accounts:
@@ -643,40 +586,36 @@ class ShardedExecutor:
             stats[-1].records_out = merged_count
         return stats
 
-    def _run_one_shard(
+    def _run_shard(
         self,
         shard_index: int,
         items: list[tuple[int, DataRecord]],
-        stages: list[PhysicalOperator],
-        finisher: PhysicalOperator | None,
+        section: list[PhysicalOperator],
         accounts: list[_StageAccount],
         segment: ShardSegment,
         out_by_pos: dict[int, list[DataRecord]],
-        topk_candidates: list[tuple],
         base_fingerprint: str | None,
-        cells: list[tuple],
-    ) -> tuple[float, bool]:
-        """One simulated worker: its partition through the segment's stages.
+    ):
+        """One simulated worker: its partition through the section executor.
 
-        Returns (shard makespan, truncated).  Emitted records land in
-        ``out_by_pos`` under their global positions; a top-k finisher's
-        per-shard winners land in ``topk_candidates``.  When the segment
-        boundary is fingerprintable, an exact per-shard store hit replays
-        the whole shard for free, a delta hit runs only the shard's
+        Returns the engine's deferred section run, with ``positions``
+        mapped to global segment-input positions, or None when an exact
+        per-shard store hit replayed the whole shard.  Emitted records land
+        in ``out_by_pos`` under their global positions.  When the segment
+        boundary is fingerprintable, a delta hit runs only the shard's
         appended tail, and a fault-free run captures the shard's output.
         """
-        ctx = self.ctx
-        llm = ctx.llm
+        llm = self.ctx.llm
         engine = self.engine
         plan = self.plan
         capture = engine.capture
-        input_uids = tuple(record.uid for _, record in items)
 
         live_items = items
         carried_cost = 0.0
         carried_time = 0.0
         fingerprint = None
         if base_fingerprint is not None:
+            input_uids = tuple(record.uid for _, record in items)
             fingerprint = shard_fingerprint(
                 base_fingerprint, plan.partitioner, plan.n_shards, shard_index
             )
@@ -688,7 +627,7 @@ class ShardedExecutor:
                 self._place_replayed(items, entry, out_by_pos)
                 plan.reused_any = True
                 segment.replayed_shards += 1
-                return 0.0, False
+                return None
             if kind == "delta" and entry.emit_counts is not None:
                 base = len(entry.source_uids)
                 capture.store.note_hit(
@@ -701,65 +640,20 @@ class ShardedExecutor:
                 plan.reused_any = True
                 segment.delta_shards += 1
 
-        schedule = PipelineSchedule()
-        states = [op.new_state(ctx) for op in stages]
-        finisher_state = finisher.new_state(ctx) if finisher is not None else None
-        all_ops = stages + ([finisher] if finisher is not None else [])
-        all_states = states + ([finisher_state] if finisher is not None else [])
-        position_of: dict[str, int] = {}
         checkpoint = llm.tracker.checkpoint()
-        batch_size = (
-            engine.batch_size if engine.pipeline else max(len(live_items), 1)
+        run = engine._execute_section(
+            section,
+            [record for _, record in live_items],
+            accounts,
+            # Barrier mode is one batch holding the shard's whole input.
+            batch_size=engine.batch_size if engine.pipeline else max(len(live_items), 1),
+            deferred=True,
         )
-        batch_no = 0
-        truncated = False
-        stage = 0
+        run.positions = [live_items[index][0] for index in run.positions]
+        for position, record in zip(run.positions, run.outputs):
+            out_by_pos.setdefault(position, []).append(record)
 
-        try:
-            for start in range(0, len(live_items), batch_size):
-                if any(op.sated(st) for op, st in zip(all_ops, all_states)):
-                    break
-                current = live_items[start : start + batch_size]
-                schedule.start_batch()
-                batch_no += 1
-                for stage, operator in enumerate(all_ops):
-                    if not current:
-                        break
-                    n_records = len(current)
-                    if operator is finisher:
-                        for position, record in current:
-                            position_of[record.uid] = position
-                    current, seconds = self._cell(
-                        operator, current, all_states[stage], accounts[stage]
-                    )
-                    schedule.record(stage, seconds)
-                    cells.append(
-                        (shard_index, stage, *schedule.last_cell, batch_no, n_records)
-                    )
-                for position, record in current:
-                    out_by_pos.setdefault(position, []).append(record)
-        except BudgetExceededError as exc:
-            seconds = getattr(exc, "cell_seconds", 0.0)
-            schedule.record(stage, seconds)
-            cells.append(
-                (shard_index, stage, *schedule.last_cell, batch_no, 0)
-            )
-            truncated = True
-
-        if not truncated and finisher is not None and isinstance(finisher, PhysSemTopK):
-            entries = [
-                (relevant, similarity, position_of[uid], uid, record)
-                for uid, (relevant, similarity, _arrival, record)
-                in finisher_state["scored"].items()
-            ]
-            entries.sort(key=lambda item: (-item[0], -item[1], item[2], item[3]))
-            topk_candidates.extend(entries[: finisher.logical_op.k])
-
-        if (
-            not truncated
-            and fingerprint is not None
-            and not (ctx.failures or llm.tracker.failed_calls(self.run_checkpoint))
-        ):
+        if not run.truncated and fingerprint is not None and not engine._tainted():
             emit_counts = tuple(
                 len(out_by_pos.get(position, ())) for position, _ in items
             )
@@ -768,18 +662,17 @@ class ShardedExecutor:
                 for position, _ in items
                 for record in out_by_pos.get(position, ())
             ]
-            usage = llm.tracker.since(checkpoint)
             capture.store.put(
                 fingerprint,
                 shard_records,
                 source_uids=input_uids,
                 source_id=capture.source_id,
-                cost_usd=carried_cost + usage.cost_usd,
-                time_s=carried_time + schedule.makespan,
+                cost_usd=carried_cost + llm.tracker.since(checkpoint).cost_usd,
+                time_s=carried_time + run.makespan,
                 emit_counts=emit_counts,
                 content_version=capture.content_version,
             )
-        return schedule.makespan, truncated
+        return run
 
     def _place_replayed(
         self,
@@ -795,75 +688,6 @@ class ShardedExecutor:
                     entry.records[cursor : cursor + count]
                 )
             cursor += count
-
-    def _cell(
-        self,
-        operator: PhysicalOperator,
-        items: list[tuple[int, DataRecord]],
-        state: dict,
-        account: _StageAccount,
-    ) -> tuple[list[tuple[int, DataRecord]], float]:
-        """One shard-local (batch, stage) cell: measured, position-tagged.
-
-        The single wave runs at the configured width; the adaptive
-        controller and its throttled-record resubmission are deliberately
-        not consulted here — fault specs are per-query, not per-shard,
-        and fault-free runs never diverge from the static width anyway.
-        """
-        ctx = self.ctx
-        tracker = ctx.llm.tracker
-        checkpoint = tracker.checkpoint()
-        failures_before = len(ctx.failures)
-        account.records_in += len(items)
-        emitted: dict[int, list[DataRecord]] = {}
-        budget_error: BudgetExceededError | None = None
-
-        with ctx.llm.measure() as measured:
-            try:
-                operator.prepare_batch(
-                    [record for _, record in items], ctx, state
-                )
-                with ctx.llm.parallel(ctx.wave_width()):
-                    for position, record in items:
-                        emitted[position] = operator.process_record(
-                            record, ctx, state
-                        )
-            except BudgetExceededError as exc:
-                budget_error = exc
-
-        self._account_usage(account, checkpoint, failures_before, measured.seconds)
-        if ctx.llm.metrics.enabled:
-            ctx.llm.metrics.histogram("engine.cell_s").observe(measured.seconds)
-        if budget_error is not None:
-            budget_error.cell_seconds = measured.seconds
-            raise budget_error
-        results = [
-            (position, record)
-            for position in sorted(emitted)
-            for record in emitted[position]
-        ]
-        account.records_out += len(results)
-        return results, measured.seconds
-
-    def _account_usage(
-        self,
-        account: _StageAccount,
-        checkpoint: int,
-        failures_before: int,
-        seconds: float,
-    ) -> None:
-        tracker = self.ctx.llm.tracker
-        usage = tracker.since(checkpoint)
-        account.cost_usd += usage.cost_usd
-        account.llm_calls += usage.calls
-        account.input_tokens += usage.input_tokens
-        account.output_tokens += usage.output_tokens
-        account.cached_calls += sum(
-            1 for event in tracker.events[checkpoint:] if event.cached
-        )
-        account.retried_calls += tracker.failed_calls(checkpoint)
-        account.failed_records += len(self.ctx.failures) - failures_before
-        account.time_s += seconds
 
     def _charge(self, shard_seconds: list[float]) -> None:
         """Advance time as if the shards had run on N parallel workers.
@@ -883,6 +707,54 @@ class ShardedExecutor:
         else:
             llm.clock.advance(max(shard_seconds))
 
+    def _measured_shards(
+        self,
+        account: _StageAccount,
+        work,
+        name: str,
+        stage: int,
+        rows: list[int],
+        segment_span,
+    ) -> tuple[list[float], bool]:
+        """Run ``work(shard_index)`` once per shard as a simulated worker.
+
+        Each call is measured and its usage added to ``account``; a spend
+        cap stops the loop at the shard it cut.  The shard makespans are
+        charged as N parallel workers and traced as ``"<name> s<i>"``
+        cells.  Returns (shard makespans, truncated).
+        """
+        ctx = self.ctx
+        llm = ctx.llm
+        tracer = llm.tracer
+        origin = llm.clock.elapsed
+        seconds: list[float] = []
+        truncated = False
+        for shard_index in range(self.plan.n_shards):
+            checkpoint = llm.tracker.checkpoint()
+            failures_before = len(ctx.failures)
+            with llm.measure() as measured:
+                try:
+                    work(shard_index)
+                except BudgetExceededError:
+                    truncated = True
+            account.absorb(ctx, checkpoint, failures_before, measured.seconds)
+            seconds.append(measured.seconds)
+            if truncated:
+                break
+        self._charge(seconds)
+        if tracer.enabled and llm.serve_sink is None:
+            for shard_index, shard_seconds in enumerate(seconds):
+                if shard_seconds > 0:
+                    tracer.add_span(
+                        f"{name} s{shard_index}", "cell",
+                        origin, origin + shard_seconds,
+                        track=f"shard {shard_index} stage {stage}",
+                        parent=segment_span,
+                        shard=shard_index, stage=stage,
+                        records=rows[shard_index],
+                    )
+        return seconds, truncated
+
     # ------------------------------------------------------------------
     # Shuffle segments (semantic group-by)
     # ------------------------------------------------------------------
@@ -896,136 +768,60 @@ class ShardedExecutor:
     ):
         ctx = self.ctx
         llm = ctx.llm
-        tracer = llm.tracer
-        plan = self.plan
-        n = plan.n_shards
+        n = self.plan.n_shards
         account = _StageAccount(operator)
         items = list(enumerate(records))
-        shards = partition_records(items, n, plan.partitioner)
-        origin = llm.clock.elapsed
+        shards = partition_records(items, n, self.plan.partitioner)
 
         # Phase A: classify shard-parallel (scatter by the partitioner).
         labeled: dict[int, tuple[str, DataRecord]] = {}
-        classify_seconds: list[float] = []
-        truncated = False
-        for shard_index in range(n):
-            shard_items = shards[shard_index]
-            checkpoint = llm.tracker.checkpoint()
-            failures_before = len(ctx.failures)
-            account.records_in += len(shard_items)
-            budget_error = None
-            with llm.measure() as measured:
-                try:
-                    with llm.parallel(ctx.wave_width()):
-                        for position, record in shard_items:
-                            label = operator.classify_label(record, ctx)
-                            if label is not None:
-                                labeled[position] = (label, record)
-                except BudgetExceededError as exc:
-                    budget_error = exc
-            self._account_usage(
-                account, checkpoint, failures_before, measured.seconds
-            )
-            classify_seconds.append(measured.seconds)
-            if budget_error is not None:
-                truncated = True
-                break
-        self._charge(classify_seconds)
-        if tracer.enabled and llm.serve_sink is None:
-            for shard_index, seconds in enumerate(classify_seconds):
-                if seconds > 0:
-                    tracer.add_span(
-                        f"classify s{shard_index}", "cell",
-                        origin, origin + seconds,
-                        track=f"shard {shard_index} stage 0",
-                        parent=segment_span,
-                        shard=shard_index, stage=0,
-                        records=len(shards[shard_index]),
-                    )
+
+        def classify(shard_index: int) -> None:
+            account.records_in += len(shards[shard_index])
+            with llm.parallel(ctx.wave_width()):
+                for position, record in shards[shard_index]:
+                    label = operator.classify_label(record, ctx)
+                    if label is not None:
+                        labeled[position] = (label, record)
+
+        classify_seconds, truncated = self._measured_shards(
+            account, classify, "classify", 0,
+            [len(shard) for shard in shards], segment_span,
+        )
         if truncated:
-            stats = account.to_stats()
-            stats.shards = n
-            return [], [stats], True
+            return [], self._finish_stats([account], segment), True
 
         # Shuffle: repartition by group label to each label's owner shard.
-        owners: list[dict[str, list[tuple[int, DataRecord]]]] = [
-            {} for _ in range(n)
-        ]
-        moved = 0
+        owners: list[dict[str, list[DataRecord]]] = [{} for _ in range(n)]
         for position in sorted(labeled):
             label, record = labeled[position]
-            owners[key_shard(label, n)].setdefault(label, []).append(
-                (position, record)
-            )
-            moved += 1
+            owners[key_shard(label, n)].setdefault(label, []).append(record)
 
         # Phase B: each owner shard builds its labels' group records.
         #: Members arrive sorted by global position, so membership — and
         #: therefore the lineage-deterministic group uid and the summary
         #: prompt — matches the unsharded grouping exactly.
-        build_origin = llm.clock.elapsed
-        build_seconds: list[float] = []
         built: dict[str, DataRecord] = {}
-        for shard_index in range(n):
-            shard_labels = owners[shard_index]
-            if not shard_labels:
-                build_seconds.append(0.0)
-                continue
-            checkpoint = llm.tracker.checkpoint()
-            failures_before = len(ctx.failures)
-            budget_error = None
-            with llm.measure() as measured:
-                try:
-                    for label in sorted(shard_labels):
-                        members = [
-                            record for _, record in shard_labels[label]
-                        ]
-                        built[label] = operator.build_group(label, members, ctx)
-                except BudgetExceededError as exc:
-                    budget_error = exc
-            self._account_usage(
-                account, checkpoint, failures_before, measured.seconds
-            )
-            build_seconds.append(measured.seconds)
-            if budget_error is not None:
-                truncated = True
-                break
-        self._charge(build_seconds)
-        if tracer.enabled and llm.serve_sink is None:
-            for shard_index, seconds in enumerate(build_seconds):
-                if seconds > 0:
-                    tracer.add_span(
-                        f"build s{shard_index}", "cell",
-                        build_origin, build_origin + seconds,
-                        track=f"shard {shard_index} stage 1",
-                        parent=segment_span,
-                        shard=shard_index, stage=1,
-                        records=len(owners[shard_index]),
-                    )
 
-        makespans = []
-        for shard_index in range(n):
-            classify = (
-                classify_seconds[shard_index]
-                if shard_index < len(classify_seconds) else 0.0
-            )
-            build = (
-                build_seconds[shard_index]
-                if shard_index < len(build_seconds) else 0.0
-            )
-            makespans.append(classify + build)
-        segment.shard_makespans = makespans
-        segment.shard_rows = [len(shard) for shard in shards]
-        segment.straggler_gap_s = (
-            max(makespans) - min(makespans) if makespans else 0.0
+        def build(shard_index: int) -> None:
+            for label in sorted(owners[shard_index]):
+                built[label] = operator.build_group(
+                    label, owners[shard_index][label], ctx
+                )
+
+        build_seconds, truncated = self._measured_shards(
+            account, build, "build", 1,
+            [len(labels) for labels in owners], segment_span,
         )
-        segment.moved_records = len(items) + moved
+        makespans = [
+            classify + (build_seconds[i] if i < len(build_seconds) else 0.0)
+            for i, classify in enumerate(classify_seconds)
+        ]
+        segment.note_shards(makespans, shards)
+        segment.moved_records = len(items) + len(labeled)
         segment.cost_alternative = n * len(items)
-
         if truncated:
-            stats = account.to_stats()
-            stats.shards = n
-            return [], [stats], True
+            return [], self._finish_stats([account], segment), True
 
         output = [
             built[group]
@@ -1033,9 +829,7 @@ class ShardedExecutor:
             if group in built
         ]
         account.records_out = len(output)
-        stats = account.to_stats()
-        stats.shards = n
-        return output, [stats], False
+        return output, self._finish_stats([account], segment), False
 
     # ------------------------------------------------------------------
     # Broadcast segments (semantic joins)
@@ -1050,9 +844,7 @@ class ShardedExecutor:
     ):
         ctx = self.ctx
         llm = ctx.llm
-        tracer = llm.tracer
-        plan = self.plan
-        n = plan.n_shards
+        n = self.plan.n_shards
         account = _StageAccount(operator)
         account.records_in = len(records)
         blocked = isinstance(operator, PhysSemJoinBlocked)
@@ -1062,89 +854,55 @@ class ShardedExecutor:
         checkpoint = llm.tracker.checkpoint()
         failures_before = len(ctx.failures)
         time_before = llm.clock.elapsed
-        right_state = operator.prepare_right(ctx, have_left=bool(records))
-        self._account_usage(
-            account, checkpoint, failures_before,
-            llm.clock.elapsed - time_before,
+        try:
+            right_state = operator.prepare_right(ctx, have_left=bool(records))
+        except BudgetExceededError:
+            right_state = None
+        account.absorb(
+            ctx, checkpoint, failures_before, llm.clock.elapsed - time_before
         )
+        if right_state is None:
+            return [], self._finish_stats([account], segment), True
         right_count = len(right_state["right_records"])
         segment.moved_records = n * right_count
         segment.cost_alternative = len(records) + right_count
 
         if blocked and (not records or not right_count):
-            stats = account.to_stats()
-            stats.shards = n
-            return [], [stats], False
+            return [], self._finish_stats([account], segment), False
 
         items = list(enumerate(records))
-        shards = partition_records(items, n, plan.partitioner)
+        shards = partition_records(items, n, self.plan.partitioner)
         out_by_pos: dict[int, list[DataRecord]] = {}
-        shard_seconds: list[float] = []
-        origin = llm.clock.elapsed
-        truncated = False
         tag = f"{ctx.tag}:join"
-        for shard_index in range(n):
-            shard_items = shards[shard_index]
-            shard_checkpoint = llm.tracker.checkpoint()
-            shard_failures = len(ctx.failures)
-            budget_error = None
-            with llm.measure() as measured:
-                try:
-                    left_vectors = None
-                    if blocked and ctx.embed_batch_size > 1 and shard_items:
-                        left_vectors = _embed_texts(
-                            [record.as_text() for _, record in shard_items],
-                            ctx, tag,
-                        )
-                    with llm.parallel(ctx.wave_width()):
-                        for index, (position, left) in enumerate(shard_items):
-                            if blocked:
-                                out_by_pos[position] = operator.join_left(
-                                    left, ctx, right_state,
-                                    left_vec=(
-                                        left_vectors[index]
-                                        if left_vectors is not None else None
-                                    ),
-                                )
-                            else:
-                                out_by_pos[position] = operator.join_left(
-                                    left, ctx, right_state
-                                )
-                except BudgetExceededError as exc:
-                    budget_error = exc
-            self._account_usage(
-                account, shard_checkpoint, shard_failures, measured.seconds
-            )
-            shard_seconds.append(measured.seconds)
-            if budget_error is not None:
-                truncated = True
-                break
-        self._charge(shard_seconds)
-        segment.shard_makespans = list(shard_seconds)
-        segment.shard_rows = [len(shard) for shard in shards]
-        segment.straggler_gap_s = (
-            max(shard_seconds) - min(shard_seconds) if shard_seconds else 0.0
-        )
-        if tracer.enabled and llm.serve_sink is None:
-            for shard_index, seconds in enumerate(shard_seconds):
-                if seconds > 0:
-                    tracer.add_span(
-                        f"join s{shard_index}", "cell",
-                        origin, origin + seconds,
-                        track=f"shard {shard_index} stage 0",
-                        parent=segment_span,
-                        shard=shard_index, stage=0,
-                        records=len(shards[shard_index]),
-                    )
 
-        stats = account.to_stats()
-        stats.shards = n
+        def join(shard_index: int) -> None:
+            shard_items = shards[shard_index]
+            left_vectors = None
+            if blocked and ctx.embed_batch_size > 1 and shard_items:
+                left_vectors = _embed_texts(
+                    [record.as_text() for _, record in shard_items], ctx, tag
+                )
+            with llm.parallel(ctx.wave_width()):
+                for index, (position, left) in enumerate(shard_items):
+                    if left_vectors is not None:
+                        out_by_pos[position] = operator.join_left(
+                            left, ctx, right_state, left_vec=left_vectors[index]
+                        )
+                    else:
+                        out_by_pos[position] = operator.join_left(
+                            left, ctx, right_state
+                        )
+
+        shard_seconds, truncated = self._measured_shards(
+            account, join, "join", 0, [len(shard) for shard in shards], segment_span,
+        )
+        segment.note_shards(shard_seconds, shards)
         if truncated:
-            return [], [stats], True
+            return [], self._finish_stats([account], segment), True
         merged = [
             record
             for position in sorted(out_by_pos)
             for record in out_by_pos[position]
         ]
-        stats.records_out = len(merged)
-        return merged, [stats], False
+        account.records_out = len(merged)
+        return merged, self._finish_stats([account], segment), False

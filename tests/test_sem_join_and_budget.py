@@ -112,6 +112,37 @@ def test_budget_cap_truncates_run(enron_bundle):
     assert result.total_cost_usd < config.max_cost_usd + 0.01
 
 
+@pytest.mark.parametrize("pipeline", [True, False])
+def test_budget_cap_bounds_embedding_spend(pipeline):
+    # Retrieval bills only embeddings and a Python filter bills nothing,
+    # so no guarded completion ever checks the cap: the embedding requests
+    # themselves must, stopping within one request of it.
+    from repro.qa.corpus import CorpusSpec, build_corpus
+
+    bundle = build_corpus(CorpusSpec(seed=13, n_records=200))
+
+    def run(max_cost_usd):
+        llm = SimulatedLLM(oracle=SemanticOracle(bundle.registry), seed=13)
+        config = QueryProcessorConfig(
+            llm=llm, optimize=False, seed=13, pipeline=pipeline,
+            max_cost_usd=max_cost_usd,
+        )
+        result = (
+            Dataset.from_source(bundle.source())
+            .retrieve("login outage", 150)
+            .filter(lambda record: True, "keep all")
+            .run(config)
+        )
+        return result, llm
+
+    uncapped, _ = run(None)
+    cap = 0.15 * uncapped.total_cost_usd
+    capped, llm = run(cap)
+    largest = max(event.cost_usd for event in llm.tracker.events)
+    assert capped.truncated
+    assert capped.total_cost_usd <= cap + largest
+
+
 def test_budget_cap_absent_runs_fully(enron_bundle):
     llm = SimulatedLLM(oracle=SemanticOracle(enron_bundle.registry), seed=0)
     config = QueryProcessorConfig(llm=llm, optimize=False, seed=0)

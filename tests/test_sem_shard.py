@@ -20,10 +20,12 @@ from repro.core.runtime import AnalyticsRuntime
 from repro.data.records import DataRecord, reset_uid_counter
 from repro.data.schemas import Field, Schema
 from repro.errors import ConfigurationError, OptimizationError
+from repro.llm.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.llm.oracle import SemanticOracle
 from repro.llm.simulated import SimulatedLLM
 from repro.obs import Tracer, validate_spans
 from repro.qa.corpus import CorpusSpec, build_corpus, instruction_for
+from repro.sem import dataset as dataset_module
 from repro.sem import physical as P
 from repro.sem.config import QueryProcessorConfig
 from repro.sem.dataset import Dataset
@@ -678,3 +680,119 @@ class TestQaHarnessWiring:
         from repro.qa.oracles import ORACLES, check_shard_equivalence
 
         assert check_shard_equivalence in ORACLES
+
+
+# ---------------------------------------------------------------------------
+# Composed features: shards inherit the section executor's guards
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def qa_bundle_200():
+    return build_corpus(CorpusSpec(seed=13, n_records=200))
+
+
+class TestComposedFeatures:
+    def test_rate_limit_storm_narrows_waves_on_shards(
+        self, qa_bundle_200, monkeypatch
+    ):
+        # A persistent storm throttles every wave wider than 2: the
+        # adaptive controller must back off inside shards too, and its
+        # resubmission must keep sharded degradation at or below the
+        # unsharded run's.
+        controllers = []
+
+        class Recording(P.AdaptiveParallelism):
+            def __post_init__(self):
+                super().__post_init__()
+                controllers.append(self)
+
+        monkeypatch.setattr(dataset_module, "AdaptiveParallelism", Recording)
+
+        def stormy_run(shards):
+            llm = SimulatedLLM(
+                oracle=SemanticOracle(qa_bundle_200.registry),
+                seed=13,
+                faults=FaultInjector(
+                    FaultConfig(
+                        kinds=("rate_limit",),
+                        rate_limit_storms=((0.0, 1e9),),
+                        storm_rate=0.9,
+                    ),
+                    seed=0,
+                ),
+                retry=RetryPolicy(max_attempts=2, base_backoff_s=0.5),
+            )
+            config = QueryProcessorConfig(
+                llm=llm, seed=13, optimize=False, parallelism=8, shards=shards
+            )
+            return _filter_map(qa_bundle_200).run(config)
+
+        unsharded = stormy_run(1)
+        sharded = stormy_run(4)
+        assert len(controllers) == 2
+        assert controllers[1].backoffs > 0
+        assert sharded.failed_records <= unsharded.failed_records
+
+    def test_vectorized_stage_runs_columnar_on_shards(
+        self, qa_bundle_200, monkeypatch
+    ):
+        calls = {"batch": 0, "record": 0}
+        process_batch = P.PhysProject.process_batch
+        process_record = P.PhysProject.process_record
+
+        def counting_batch(self, *args):
+            calls["batch"] += 1
+            return process_batch(self, *args)
+
+        def counting_record(self, *args):
+            calls["record"] += 1
+            return process_record(self, *args)
+
+        monkeypatch.setattr(P.PhysProject, "process_batch", counting_batch)
+        monkeypatch.setattr(P.PhysProject, "process_record", counting_record)
+
+        def plan():
+            return (
+                Dataset.from_source(qa_bundle_200.source())
+                .filter(lambda r: (r.get("priority") or 0) >= 1, "priority >= 1")
+                .project(["text", "priority", "customer"])
+                .sem_filter(instruction_for("qa.flag_urgent"))
+            )
+
+        expected = _normalized(
+            plan().run(_config(qa_bundle_200, parallelism=8, shards=1))
+        )
+        calls.update(batch=0, record=0)
+        result = plan().run(_config(qa_bundle_200, parallelism=8, shards=4))
+        assert calls["batch"] > 0 and calls["record"] == 0
+        assert _normalized(result) == expected
+
+    def test_spend_cap_holds_on_shards(self, qa_bundle_200):
+        # Embedding-heavy gather segment, then a scatter segment: the cap
+        # must stop both within one billed request, and the truncated
+        # run's trace must still validate.
+        def plan():
+            return (
+                Dataset.from_source(qa_bundle_200.source())
+                .retrieve("login outage", 150)
+                .sem_filter(instruction_for("qa.flag_urgent"))
+            )
+
+        full = plan().run(_config(qa_bundle_200, parallelism=8, shards=4))
+        retrieve_cost = full.operator_stats[1].cost_usd
+        assert retrieve_cost > 0
+        cap = 0.15 * retrieve_cost
+        tracer = Tracer()
+        llm = SimulatedLLM(
+            oracle=SemanticOracle(qa_bundle_200.registry), seed=13, tracer=tracer
+        )
+        config = QueryProcessorConfig(
+            llm=llm, seed=13, optimize=False, parallelism=8, shards=4,
+            max_cost_usd=cap,
+        )
+        result = plan().run(config)
+        largest = max(event.cost_usd for event in llm.tracker.events)
+        assert result.truncated
+        assert result.total_cost_usd <= cap + largest
+        validate_spans(tracer.spans)  # must not raise
