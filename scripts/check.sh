@@ -2,8 +2,9 @@
 # Fast correctness gate: tier-1 test suite + the fault-tolerance smoke sweep.
 # Runs in well under a minute; use before pushing.
 #
-#   scripts/check.sh          full gate (all tests + perfbench tests + smoke
-#                             sweeps + fuzz lane)
+#   scripts/check.sh          full gate (all tests + perfbench tests + a
+#                             structured benchmark run + smoke sweeps + fuzz
+#                             lane)
 #   scripts/check.sh --fast   unit tests and perfbench tests, skipping slow
 #                             property/integration modules and most sweeps
 set -euo pipefail
@@ -38,6 +39,21 @@ python -m pytest -x -q
 echo
 echo "== repository benchmark's own tests =="
 python -m pytest perfbench/tests -q
+
+echo
+echo "== structured benchmark vs its pure-Python reference =="
+# Every structured plan's records are checked against a pure-Python
+# evaluation of the same query; the last output line is the result.
+structured="$(python3 perfbench/run.py --workload structured --seed 0 --seconds 1 --trace 0 | tail -n 1)"
+echo "$structured"
+python3 - "$structured" <<'PY'
+import json
+import sys
+
+result = json.loads(sys.argv[1])
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit("structured benchmark: results differ from the reference or operations failed")
+PY
 
 echo
 echo "== fault-tolerance smoke sweep =="

@@ -23,11 +23,14 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.data.records import DataRecord
 from repro.data.schemas import TEXT_FILE_SCHEMA, Schema
 from repro.errors import DataSourceError
+
+if TYPE_CHECKING:
+    from repro.sem.batch import RecordBatch
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,12 @@ class DataSource(abc.ABC):
 class MemorySource(DataSource):
     """A source over an in-memory list of records."""
 
+    #: Updates made through any MemorySource.  Two sources may hold the
+    #: same record objects (a dataset bundle's ``source()`` wraps its
+    #: records afresh on each call), so an update through one changes
+    #: what the other holds; :meth:`batch` keys on this count as well.
+    _updates = 0
+
     def __init__(
         self,
         records: Iterable[DataRecord],
@@ -99,6 +108,10 @@ class MemorySource(DataSource):
         for record in self._records:
             if not record.source_id:
                 record.source_id = source_id
+        #: uid -> position of its first record, built on the first update.
+        self._positions: dict[str, int] | None = None
+        #: ((version, updates), batch) of the last :meth:`batch` call.
+        self._batch: tuple[tuple[int, int], RecordBatch] | None = None
 
     def iterate(self) -> Iterator[DataRecord]:
         return iter(self._records)
@@ -108,6 +121,22 @@ class MemorySource(DataSource):
 
     def records(self) -> list[DataRecord]:
         return list(self._records)
+
+    def batch(self) -> RecordBatch:
+        """A columnar :class:`~repro.sem.batch.RecordBatch` over the records.
+
+        Cached and keyed by ``version`` and the global update count: scans
+        of an unchanged source share one batch and the columns built on
+        it, and every ``append`` or ``update`` changes the key, so the next
+        call builds afresh.  The batch is shared — callers must not mutate
+        it or its record list.
+        """
+        from repro.sem.batch import RecordBatch  # the sem layer sits above data
+
+        key = (self.version, MemorySource._updates)
+        if self._batch is None or self._batch[0] != key:
+            self._batch = (key, RecordBatch(list(self._records)))
+        return self._batch[1]
 
     # -- mutations (the standing-query change feed) ---------------------
 
@@ -125,6 +154,9 @@ class MemorySource(DataSource):
         for record in appended:
             if not record.source_id:
                 record.source_id = self.source_id
+        if self._positions is not None:
+            for position, record in enumerate(appended, start=len(self._records)):
+                self._positions.setdefault(record.uid, position)
         self._records.extend(appended)
         self.version += 1
         return self._publish(
@@ -150,14 +182,17 @@ class MemorySource(DataSource):
         them — the bumped ``content_version`` is what invalidates
         materialized entries built on the old contents.
         """
-        for record in self._records:
-            if record.uid == uid:
-                record.fields.update(fields)
-                break
-        else:
+        if self._positions is None:
+            self._positions = {}
+            for position, record in enumerate(self._records):
+                self._positions.setdefault(record.uid, position)
+        position = self._positions.get(uid)
+        if position is None:
             raise DataSourceError(
                 f"source {self.source_id!r} has no record with uid {uid!r}"
             )
+        self._records[position].fields.update(fields)
+        MemorySource._updates += 1
         self.version += 1
         self.content_version += 1
         return self._publish(

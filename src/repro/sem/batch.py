@@ -9,15 +9,30 @@ bit-identity contract costs nothing.
 
 Vectorized predicate evaluation (:func:`struct_filter_mask`) mirrors the
 ``repro.sql`` executor's three-valued logic exactly.  Internally a boolean
-expression is a pair of masks ``(true, false)`` with NULL = neither;
-comparisons against numeric literals ride numpy float arrays when that is
-provably lossless, and every other leaf falls back to the executor's own
-scalar helpers looped once per batch — so row mode and columnar mode can
-only ever disagree by raising the same error from a different row.
+expression is a pair of masks ``(true, false)`` with NULL = neither.  Each
+``column <op> literal`` leaf picks its path from the set of Python types
+present in the column (computed once per batch and column, at C speed):
+
+- *numeric*: every present value is a plain ``int``/``float`` and so is
+  the literal, with no int at or beyond 2**53 — compare numpy float64
+  arrays, which is provably lossless;
+- *same-type*: every present value has exactly the literal's type —
+  compare the object array directly, which runs the same Python operator
+  the executor does;
+- *exact scalar loop*: anything else (bools against numbers, numpy
+  scalars, subclasses, mixed types) loops the executor's own scalar
+  helpers once per batch, so mismatched types raise its
+  ``SQLExecutionError``.
+
+A leaf result that is not a Python bool sends the whole predicate to
+per-row evaluation.  Row mode and columnar mode can therefore only ever
+disagree in which row's error they raise.
 """
 
 from __future__ import annotations
 
+import operator
+from itertools import compress
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -38,20 +53,25 @@ from repro.sql.ast_nodes import (
 )
 from repro.sql.executor import _sql_equal, _sql_less, _sql_lte
 
-#: Integers with magnitude at or below this are exact in float64, so a
-#: numpy float compare cannot diverge from Python int comparison.
+#: Integers with magnitude below this are exact in float64, so a numpy
+#: float compare cannot diverge from Python int comparison.
 _EXACT_FLOAT_INT = 2**53
+
+#: Present-value types the numeric path accepts (exact types: no bools,
+#: numpy scalars or subclasses).
+_NUMERIC_TYPES = frozenset({int, float})
 
 
 class RecordBatch:
     """A struct-of-arrays view over a run of records."""
 
-    __slots__ = ("records", "_columns", "_validity")
+    __slots__ = ("records", "_columns", "_validity", "_types")
 
     def __init__(self, records: list[DataRecord]) -> None:
         self.records = records
         self._columns: dict[str, np.ndarray] = {}
         self._validity: dict[str, np.ndarray] = {}
+        self._types: dict[str, frozenset[type]] = {}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -63,9 +83,8 @@ class RecordBatch:
         """Field values as an object array; missing fields read as None."""
         cached = self._columns.get(name)
         if cached is None:
-            cached = np.empty(len(self.records), dtype=object)
-            for position, record in enumerate(self.records):
-                cached[position] = record.fields.get(name)
+            values = [record.fields.get(name) for record in self.records]
+            cached = np.fromiter(values, dtype=object, count=len(values))
             self._columns[name] = cached
         return cached
 
@@ -73,17 +92,37 @@ class RecordBatch:
         """True where the field is present and not NULL."""
         cached = self._validity.get(name)
         if cached is None:
-            column = self.column(name)
-            cached = np.fromiter(
-                (value is not None for value in column), dtype=bool, count=len(column)
-            )
+            flags = [value is not None for value in self.column(name).tolist()]
+            cached = np.fromiter(flags, dtype=bool, count=len(flags))
             self._validity[name] = cached
         return cached
 
+    def present_types(self, name: str) -> frozenset[type]:
+        """The exact Python types of the field's non-NULL values."""
+        cached = self._types.get(name)
+        if cached is None:
+            cached = frozenset(map(type, self.column(name).tolist())) - {type(None)}
+            self._types[name] = cached
+        return cached
+
     def take(self, mask: np.ndarray) -> "RecordBatch":
-        """Rows where ``mask`` is True, as a new batch (records shared)."""
-        kept = [record for record, keep in zip(self.records, mask) if keep]
-        return RecordBatch(kept)
+        """Rows where the boolean array ``mask`` is True, as a new batch
+        (records shared).
+
+        Columns and validity masks already built here are carried over,
+        sliced by the same mask, so later stages never rebuild them.
+        """
+        return self._select(list(compress(self.records, mask.tolist())), mask)
+
+    def head(self, n: int) -> "RecordBatch":
+        """The first ``n`` rows, carrying the built columns like :meth:`take`."""
+        return self._select(self.records[:n], slice(n))
+
+    def _select(self, records: list[DataRecord], index: Any) -> "RecordBatch":
+        out = RecordBatch(records)
+        out._columns = {name: column[index] for name, column in self._columns.items()}
+        out._validity = {name: valid[index] for name, valid in self._validity.items()}
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +226,11 @@ def py_map_batch(batch: RecordBatch, fn: Callable[[DataRecord], dict]) -> Record
     for new_fields in news:
         touched.update(new_fields)
     for name in touched:
-        column = np.empty(size, dtype=object)
-        for position, (record, new_fields) in enumerate(zip(batch.records, news)):
-            if name in new_fields:
-                column[position] = new_fields[name]
-            else:
-                column[position] = record.fields.get(name)
-        out._columns[name] = column
+        values = [
+            new_fields[name] if name in new_fields else record.fields.get(name)
+            for record, new_fields in zip(batch.records, news)
+        ]
+        out._columns[name] = np.fromiter(values, dtype=object, count=size)
     for name, column in batch._columns.items():
         if name not in touched:
             out._columns[name] = column
@@ -264,19 +301,26 @@ def _vector_eval(expr: Expr, batch: RecordBatch) -> tuple[np.ndarray, np.ndarray
     if isinstance(expr, Between):
         # Engine semantics: NULL iff any of the three is NULL, else a bool.
         # The engine short-circuits its two bound checks, so only the
-        # provably error-free all-numeric path is vectorized.
+        # provably error-free numeric and same-type paths are vectorized.
         if not isinstance(expr.operand, ColumnRef):
             raise _Fallback
+        name = expr.operand.name
         low, high = _literal_value(expr.low), _literal_value(expr.high)
-        valid = batch.validity(expr.operand.name)
+        valid = batch.validity(name)
         if low is None or high is None:
             zeros = np.zeros(len(batch), dtype=bool)
             return zeros, zeros.copy()
-        column = batch.column(expr.operand.name)
-        floats = _exact_float_column(column, valid, low)
-        if floats is None or _exact_float_column(column, valid, high) is None:
+        floats = _exact_float_column(
+            batch.column(name), valid, low, batch.present_types(name)
+        )
+        if floats is not None and _float_literal(high):
+            true_mask = (floats >= float(low)) & (floats <= float(high)) & valid
+        elif type(high) is type(low) and batch.present_types(name) <= {type(low)}:
+            present = batch.column(name)[valid]
+            true_mask = np.zeros(len(batch), dtype=bool)
+            true_mask[valid] = (present >= low) & (present <= high)
+        else:
             raise _Fallback
-        true_mask = (floats >= float(low)) & (floats <= float(high)) & valid
         false_mask = valid & ~true_mask
         return (false_mask, true_mask) if expr.negated else (true_mask, false_mask)
     if isinstance(expr, InList):
@@ -295,13 +339,11 @@ def _vector_eval(expr: Expr, batch: RecordBatch) -> tuple[np.ndarray, np.ndarray
         false_mask = valid & ~true_mask
         return (false_mask, true_mask) if expr.negated else (true_mask, false_mask)
     if isinstance(expr, ColumnRef):
-        column = batch.column(expr.name)
-        valid = batch.validity(expr.name)
-        if any(valid[i] and not isinstance(column[i], bool) for i in range(len(column))):
+        if not batch.present_types(expr.name) <= {bool}:
             raise _Fallback  # numeric truthiness: leave it to the executor
-        true_mask = np.fromiter(
-            (value is True for value in column), dtype=bool, count=len(column)
-        )
+        valid = batch.validity(expr.name)
+        true_mask = np.zeros(len(batch), dtype=bool)
+        true_mask[valid] = batch.column(expr.name)[valid].astype(bool)
         return true_mask, valid & ~true_mask
     raise _Fallback
 
@@ -323,81 +365,105 @@ def _vector_compare(expr: BinaryOp, batch: RecordBatch) -> tuple[np.ndarray, np.
     raise _Fallback
 
 
+#: Elementwise ``column <op> literal`` for the numeric and same-type paths.
+_COMPARE: dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 def _vector_compare_leaf(
     column_expr: Expr, op: str, literal: Any, batch: RecordBatch
 ) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(column_expr, ColumnRef):
         raise _Fallback
-    column = batch.column(column_expr.name)
-    valid = batch.validity(column_expr.name)
-    size = len(column)
+    name = column_expr.name
+    valid = batch.validity(name)
+    size = len(valid)
     if literal is None:  # comparison with NULL is NULL everywhere
         zeros = np.zeros(size, dtype=bool)
         return zeros, zeros.copy()
 
-    floats = _exact_float_column(column, valid, literal)
+    column = batch.column(name)
+    floats = _exact_float_column(column, valid, literal, batch.present_types(name))
     if floats is not None:
-        target = float(literal)
-        if op in ("=", "<>", "!="):
-            hits = floats == target
-        elif op == "<":
-            hits = floats < target
-        elif op == "<=":
-            hits = floats <= target
-        elif op == ">":
-            hits = floats > target
-        else:
-            hits = floats >= target
-        if op in ("<>", "!="):
-            hits = ~hits
-        true_mask = hits & valid
+        true_mask = _COMPARE[op](floats, float(literal)) & valid
         return true_mask, valid & ~true_mask
 
-    # Exact scalar helpers, looped once per batch.  Equality never raises;
-    # ordering raises on mismatched types exactly like row mode.
-    if op in ("=", "<>", "!="):
+    if batch.present_types(name) <= {type(literal)}:
+        true_mask = np.zeros(size, dtype=bool)
+        true_mask[valid] = _COMPARE[op](column[valid], literal)
+        return true_mask, valid & ~true_mask
+
+    # Exact scalar helpers, looped once per batch over the present values:
+    # each row gets the leaf value row mode computes.  Equality never
+    # raises; ordering raises on mismatched types exactly like row mode.
+    if op == "=":
         scalar: Callable[[Any], Any] = lambda value: _sql_equal(value, literal)
-        negate = op != "="
+    elif op in ("<>", "!="):
+        scalar = lambda value: not _sql_equal(value, literal)
     elif op == "<":
-        scalar, negate = lambda value: _sql_less(value, literal), False
+        scalar = lambda value: _sql_less(value, literal)
     elif op == "<=":
-        scalar, negate = lambda value: _sql_lte(value, literal), False
+        scalar = lambda value: _sql_lte(value, literal)
     elif op == ">":
-        scalar, negate = lambda value: _sql_less(literal, value), False
+        scalar = lambda value: _sql_less(literal, value)
     else:
-        scalar, negate = lambda value: _sql_lte(literal, value), False
+        scalar = lambda value: _sql_lte(literal, value)
+    values = column.tolist()
     true_mask = np.zeros(size, dtype=bool)
-    for position in range(size):
-        if not valid[position]:
-            continue
-        outcome = scalar(column[position])
-        if outcome is not None and (outcome != negate):
+    false_mask = np.zeros(size, dtype=bool)
+    for position in np.flatnonzero(valid).tolist():
+        outcome = scalar(values[position])
+        if outcome is True:
             true_mask[position] = True
-    return true_mask, valid & ~true_mask
+        elif outcome is False:
+            false_mask[position] = True
+        else:
+            # Not a bool (numpy scalars compare to ``np.bool_``): only the
+            # executor itself reproduces how AND/OR/NOT and WHERE treat it.
+            raise _Fallback
+    return true_mask, false_mask
+
+
+def _float_literal(literal: Any) -> bool:
+    """True for a plain int/float literal that float64 holds exactly."""
+    if type(literal) is float:
+        return True
+    return type(literal) is int and abs(literal) < _EXACT_FLOAT_INT
 
 
 def _exact_float_column(
-    column: np.ndarray, valid: np.ndarray, literal: Any
+    column: np.ndarray,
+    valid: np.ndarray,
+    literal: Any,
+    types: frozenset[type] | None = None,
 ) -> np.ndarray | None:
     """Float64 view of a numeric column, or None when that could lie.
 
-    Requires the literal and every present value to be non-bool ints or
-    floats, with ints small enough to be exact in float64.  NULL slots
-    carry NaN, which compares False against everything — and the caller
-    masks them out anyway.
+    Requires the literal and every present value (whose exact types are
+    ``types``, computed here when not given) to be plain ints or floats —
+    no bools, numpy scalars or subclasses — with ints below 2**53 in
+    magnitude.  NULL slots carry NaN, which compares False against
+    everything — and the callers mask them out anyway.
     """
-    if isinstance(literal, bool) or not isinstance(literal, (int, float)):
+    if not _float_literal(literal):
         return None
-    if isinstance(literal, int) and abs(literal) > _EXACT_FLOAT_INT:
+    if types is None:
+        types = frozenset(map(type, column[valid].tolist()))
+    if not types <= _NUMERIC_TYPES:
+        return None
+    try:
+        present = column[valid].astype(float)
+    except OverflowError:  # an int too large for any float
+        return None
+    if int in types and (np.abs(present) >= _EXACT_FLOAT_INT).any():
         return None
     floats = np.full(len(column), np.nan)
-    for position in range(len(column)):
-        if not valid[position]:
-            continue
-        value = column[position]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return None
-        if isinstance(value, int) and abs(value) > _EXACT_FLOAT_INT:
-            return None
-        floats[position] = float(value)
+    floats[valid] = present
     return floats

@@ -15,10 +15,11 @@ Soundness:
   run preserves the run's output exactly — filters are pure per-record
   predicates that only remove records and preserve order, so any
   interleaving yields the same survivors.
-- The SqlScan applies the pushed operators in order through the same
-  ``repro.sql`` evaluator row mode uses (see
-  :func:`repro.sem.physical.apply_structured`), so surviving records are
-  bit-identical, uids included.
+- The SqlScan applies the pushed operators in order (a limit may move
+  ahead of the projections just before it, which commute with it)
+  through the same ``repro.sql`` semantics row mode uses (see
+  :func:`repro.sem.physical.apply_structured` and its columnar twin), so
+  surviving records are bit-identical, uids included.
 
 The pass runs whether or not cost-based optimization is enabled; it is
 gated only by ``QueryProcessorConfig.pushdown``.

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 from repro.data.records import DataRecord
+from repro.data.sources import MemorySource
 from repro.errors import BudgetExceededError, ExecutionError, TransientLLMError
 from repro.llm.embeddings import cosine_similarity, top_k_similar
 from repro.llm.simulated import SimulatedLLM
@@ -896,7 +897,7 @@ class PhysLimit(StreamingOperator):
     ) -> RecordBatch:
         take = max(0, min(state["remaining"], len(batch)))
         state["remaining"] -= take
-        return RecordBatch(batch.records[:take])
+        return batch.head(take)
 
 
 class PhysStructFilter(StreamingOperator):
@@ -971,20 +972,15 @@ class PhysStructAgg(PhysicalOperator):
         return _struct_agg_records(records, self.logical_op)
 
 
-def apply_structured(
-    op: L.LogicalOperator, records: list[DataRecord], columnar: bool = False
-) -> list[DataRecord]:
+def apply_structured(op: L.LogicalOperator, records: list[DataRecord]) -> list[DataRecord]:
     """Run one pushed-down structured operator over materialized records.
 
-    This is the SqlScan interpretation loop — and also how delta records
-    replay through a pushed prefix.  Each case matches its row-mode
-    physical operator exactly (same evaluator, same ``derive`` calls).
+    This is the row-mode SqlScan interpretation loop.  Each case matches
+    its row-mode physical operator exactly (same evaluator, same
+    ``derive`` calls).
     """
     if isinstance(op, L.StructFilterOp):
         expr = compile_predicate(op.condition)
-        if columnar:
-            batch = RecordBatch(records)
-            return batch.take(struct_filter_mask(expr, batch)).records
         return [
             record
             for record in records
@@ -1004,13 +1000,46 @@ def apply_structured(
     raise ExecutionError(f"operator {op.label()} cannot run inside a SqlScan")
 
 
+def _apply_structured_batch(op: L.LogicalOperator, batch: RecordBatch) -> RecordBatch:
+    """Columnar twin of :func:`apply_structured` for the selecting and
+    projecting operators: the same records, with built columns carried."""
+    if isinstance(op, L.StructFilterOp):
+        return batch.take(struct_filter_mask(compile_predicate(op.condition), batch))
+    if isinstance(op, L.ProjectOp):
+        return project_batch(batch, op.fields)
+    if isinstance(op, L.LimitOp):
+        return batch.head(op.n)
+    raise ExecutionError(f"operator {op.label()} cannot run inside a SqlScan")
+
+
+def _limits_before_projects(
+    pushed: tuple[L.LogicalOperator, ...],
+) -> list[L.LogicalOperator]:
+    """Move each limit ahead of the projections directly before it.
+
+    A projection's uid suffix depends only on the parent uid and the
+    dropped field names, so ``project → limit`` and ``limit → project``
+    emit identical records; the second derives only the kept ones.
+    """
+    order: list[L.LogicalOperator] = []
+    for op in pushed:
+        at = len(order)
+        if isinstance(op, L.LimitOp):
+            while at and isinstance(order[at - 1], L.ProjectOp):
+                at -= 1
+        order.insert(at, op)
+    return order
+
+
 class PhysSqlScan(PhysicalOperator):
     """Leaf: scan a source and run its pushed-down structured prefix.
 
     The SQL engine prunes/projects/pre-aggregates the record set before
     any LLM operator runs.  ``scanned`` records how many source records
     the scan saw, so EXPLAIN can report what was pruned ahead of the first
-    LLM operator.
+    LLM operator.  Columnar mode runs the prefix on record batches,
+    starting from a :class:`MemorySource`'s version-keyed cached batch so
+    repeated scans of an unchanged source reuse its built columns.
     """
 
     logical_op: L.SqlScanOp
@@ -1023,12 +1052,26 @@ class PhysSqlScan(PhysicalOperator):
         super().__init__(logical_op, None)
         self.columnar = columnar
         self.scanned = 0
+        self._pushed = _limits_before_projects(logical_op.pushed)
 
     def execute(self, records: list[DataRecord], ctx: ExecutionContext) -> list[DataRecord]:
         if records:
             raise ExecutionError("sql scan is a leaf; it takes no input records")
-        current = list(self.logical_op.source.iterate())
-        self.scanned = len(current)
-        for op in self.logical_op.pushed:
-            current = apply_structured(op, current, self.columnar)
-        return current
+        source = self.logical_op.source
+        if not self.columnar:
+            current = list(source.iterate())
+            self.scanned = len(current)
+            for op in self._pushed:
+                current = apply_structured(op, current)
+            return current
+        if isinstance(source, MemorySource):
+            batch = source.batch()
+        else:
+            batch = RecordBatch(list(source.iterate()))
+        self.scanned = len(batch)
+        for op in self._pushed:
+            if isinstance(op, L.StructAggOp):
+                return _struct_agg_records(batch.records, op)
+            batch = _apply_structured_batch(op, batch)
+        # A copy: the batch may be the source's cached one.
+        return list(batch.records)

@@ -8,10 +8,13 @@ speed, never in answers.
 
 from __future__ import annotations
 
+from enum import IntEnum
+
 import numpy as np
 import pytest
 
 from repro.data.records import DataRecord, reset_uid_counter
+from repro.errors import SQLExecutionError
 from repro.llm.oracle import SemanticOracle
 from repro.llm.simulated import SimulatedLLM
 from repro.qa.corpus import CorpusSpec, build_corpus, instruction_for
@@ -291,3 +294,136 @@ def test_py_map_batch_rejects_non_dict_with_row_mode_message():
         ExecutionError, match="PyMap function must return a dict"
     ):
         py_map_batch(RecordBatch(_mixed_shape_records()), lambda r: 42)
+
+
+# ---------------------------------------------------------------------------
+# Leaf paths: numeric, same-type and the exact scalar loop agree with rows
+# ---------------------------------------------------------------------------
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 3
+
+
+class _Tag(str):
+    """A str subclass: the executor compares it as a different type."""
+
+
+def _outcome(evaluate):
+    """The evaluation's result, or the type and text of the error it raised."""
+    try:
+        return evaluate()
+    except SQLExecutionError as exc:
+        return (type(exc), str(exc))
+
+
+def _row_outcome(condition, records):
+    return _outcome(
+        lambda: [predicate_holds(condition, record.fields) for record in records]
+    )
+
+
+def _columnar_outcome(condition, records):
+    expr = compile_predicate(condition)
+    return _outcome(lambda: list(struct_filter_mask(expr, RecordBatch(records))))
+
+
+LEAF_POPULATIONS = {
+    "numpy-floats": [np.float64(1.5), 2.0, None, np.float64(3.0), 1],
+    "int-enum": [_Level.LOW, 3, _Level.HIGH, None, 2],
+    "bools-in-ints": [1, True, 2, False, None, 0],
+    "int-boundary": [2**53, -(2**53), 2**53 + 1, 2**53 - 1, 5, None],
+    "nan": [1.0, float("nan"), 3.0, None, 2],
+    "str-subclass": [_Tag("acme"), "acme", "globex", None, _Tag("wayne")],
+    "str-and-int": ["acme", 3, None, "globex"],
+    "bools": [True, False, None, True],
+    "strings": ["acme", "globex", None, "wayne", "Acme"],
+}
+
+LEAF_CONDITIONS = [
+    "v = 1",
+    "v <> 1",
+    "v < 2",
+    "v >= 3",
+    "v = 1.5",
+    "v > 1.5",
+    "v = 9007199254740992",
+    "v < 9007199254740992",
+    "v = 9007199254740993",
+    "v >= 9007199254740991",
+    "v = 9007199254740992.0",
+    "v <= 9007199254740991",
+    "v = 'acme'",
+    "v != 'acme'",
+    "v < 'globex'",
+    "v >= 'b'",
+    "v = TRUE",
+    "v <> FALSE",
+    "v < TRUE",
+    "v IN (1, 3)",
+    "v NOT IN (1.5, 2)",
+    "v IN ('acme', 'wayne', NULL)",
+    "v IN (1, 'acme')",
+    "v BETWEEN 1 AND 2",
+    "v NOT BETWEEN 1.5 AND 3",
+    "v BETWEEN 9007199254740991 AND 9007199254740993",
+    "v BETWEEN 'a' AND 'h'",
+    "v BETWEEN 1 AND 'z'",
+    "v",
+    "NOT v",
+    "v = 1 OR v > 2",
+    "NOT (v = 1.5) AND v IS NOT NULL",
+]
+
+
+@pytest.mark.parametrize("population", sorted(LEAF_POPULATIONS))
+@pytest.mark.parametrize("condition", LEAF_CONDITIONS)
+def test_leaf_paths_match_row_semantics(population, condition):
+    records = _records([{"v": value} for value in LEAF_POPULATIONS[population]])
+    expected = _row_outcome(condition, records)
+    assert _columnar_outcome(condition, records) == expected, (population, condition)
+
+
+def test_mismatched_ordering_raises_the_row_mode_error():
+    records = _records([{"v": value} for value in ["acme", 3, "globex"]])
+    row = _row_outcome("v < 'b'", records)
+    assert row[0] is SQLExecutionError and "mismatched types" in row[1]
+    assert _columnar_outcome("v < 'b'", records) == row
+
+
+def test_numeric_path_rejects_ints_reaching_two_to_the_53():
+    column = np.array([2**53 + 1, 1], dtype=object)
+    valid = np.array([True, True])
+    # float(2**53 + 1) == 2**53: the float view would call it equal to 2**53.
+    assert _exact_float_column(column, valid, 1) is None
+    assert _exact_float_column(column[1:], valid[1:], 2**53) is None
+    assert _exact_float_column(column[1:], valid[1:], 2**53 - 1) is not None
+
+
+def test_present_types_ignore_nulls():
+    batch = RecordBatch(MIXED)
+    assert batch.present_types("priority") == {int}
+    assert batch.present_types("amount") == {int, float}
+    assert batch.present_types("flag") == {bool}
+
+
+def _assert_carried_columns_are_fresh(batch: RecordBatch, names):
+    fresh = RecordBatch(list(batch.records))
+    for name in names:
+        assert list(batch._columns[name]) == list(fresh.column(name)), name
+        assert list(batch._validity[name]) == list(fresh.validity(name)), name
+
+
+def test_take_carries_built_columns_equal_to_fresh_ones():
+    batch = RecordBatch(MIXED)
+    for name in ("priority", "name"):
+        batch.validity(name)
+    mask = struct_filter_mask(compile_predicate("amount > 1.0"), batch)
+    kept = batch.take(mask)
+    assert [record.uid for record in kept] == [
+        record.uid for record, keep in zip(MIXED, mask) if keep
+    ]
+    _assert_carried_columns_are_fresh(kept, ("priority", "name", "amount"))
+    _assert_carried_columns_are_fresh(batch.head(3), ("priority", "name", "amount"))
+    _assert_carried_columns_are_fresh(kept.head(1), ("priority", "name", "amount"))

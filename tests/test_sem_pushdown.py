@@ -403,3 +403,108 @@ def test_pushdown_composes_with_materialized_reuse(qa_bundle):
     assert warm_report.reused_prefix > 0
     assert warm_report.reuse_kind == "exact"
     assert warm.total_cost_usd < cold.total_cost_usd
+
+
+# ---------------------------------------------------------------------------
+# Columnar scans over a MemorySource's cached batch
+# ---------------------------------------------------------------------------
+
+
+def _structured_plan(source):
+    return Dataset.from_source(source).where("priority >= 3").project(["title", "priority"])
+
+
+def _scan(source, **modes):
+    reset_uid_counter()
+    llm = SimulatedLLM(seed=13)
+    result = _structured_plan(source).run(
+        QueryProcessorConfig(llm=llm, seed=13, optimize=False, **modes)
+    )
+    return _normalized(result)
+
+
+def _fresh_copy(source):
+    from repro.data.records import DataRecord
+    from repro.data.sources import MemorySource
+
+    records = [
+        DataRecord(record.fields, uid=record.uid, source_id=record.source_id)
+        for record in source.iterate()
+    ]
+    return MemorySource(records, source.schema, source_id=source.source_id)
+
+
+def _assert_scan_matches_row_mode_and_a_fresh_source(source):
+    pushed = _scan(source, pushdown=True, columnar=True)
+    assert pushed == _scan(source, pushdown=True, columnar=False)
+    assert pushed == _scan(source, pushdown=False, columnar=False)
+    assert pushed == _scan(_fresh_copy(source), pushdown=True, columnar=True)
+    return pushed
+
+
+class TestCachedSourceBatch:
+    def test_append_and_update_invalidate_the_cached_batch(self, qa_bundle):
+        from repro.data.records import DataRecord
+
+        source = qa_bundle.source()
+        before = _assert_scan_matches_row_mode_and_a_fresh_source(source)
+
+        newcomer = DataRecord(
+            {"title": "late", "body": "appended", "priority": 5}, uid="qa-late"
+        )
+        source.append([newcomer])
+        appended = _assert_scan_matches_row_mode_and_a_fresh_source(source)
+        assert len(appended) == len(before) + 1
+
+        low = next(r for r in source.iterate() if r["priority"] < 3)
+        source.update(low.uid, {"priority": 4})
+        updated = _assert_scan_matches_row_mode_and_a_fresh_source(source)
+        assert len(updated) == len(appended) + 1
+
+    def test_mutating_a_scan_result_does_not_change_the_next_scan(self, qa_bundle):
+        source = qa_bundle.source()
+        reset_uid_counter()
+        llm = SimulatedLLM(seed=13)
+        config = QueryProcessorConfig(llm=llm, seed=13, optimize=False)
+        plan = Dataset.from_source(source).where("priority >= 3")
+        first = plan.run(config)
+        expected = [record.uid for record in first.records]
+        first.records.clear()
+        first.records.append(None)
+        assert [record.uid for record in plan.run(config).records] == expected
+
+        # The scan leaf itself, even with nothing pushed, hands out a copy.
+        from repro.sem.physical import PhysSqlScan
+
+        scan = PhysSqlScan(L.SqlScanOp(child=None, source=source), columnar=True)
+        scan.execute([], None).clear()
+        assert len(scan.execute([], None)) == source.cardinality()
+        assert len(source.batch().records) == source.cardinality()
+
+    def test_limit_before_projection_keeps_records_and_uids(self, qa_bundle):
+        def build(bundle):
+            return (
+                Dataset.from_source(bundle.source())
+                .where("priority >= 2")
+                .project(["title", "priority"])
+                .limit(3)
+                .sem_filter(instruction_for("qa.flag_urgent"))
+            )
+
+        outcomes = _run_modes(qa_bundle, build)
+        reference = _normalized(outcomes["off-row"][0])
+        assert reference
+        for name, (result, _report) in outcomes.items():
+            assert _normalized(result) == reference, name
+        assert outcomes["on-col"][1].pushdown_ops == 3
+
+    def test_scan_applies_a_limit_ahead_of_the_projections_before_it(self):
+        from repro.sem.physical import _limits_before_projects
+
+        where, project, limit = (
+            _where("priority >= 2"),
+            L.ProjectOp(child=None, fields=["title"]),
+            L.LimitOp(child=None, n=3),
+        )
+        assert _limits_before_projects((where, project, limit)) == [where, limit, project]
+        assert _limits_before_projects((project, where, limit)) == [project, where, limit]
